@@ -5,15 +5,12 @@
 // A second mode, `--pass-metrics` (with optional `--json=<path>` and
 // `--passes=<n>`), bypasses google-benchmark and runs the incremental-state
 // study: per-scheduling-pass p50/p95 latency and profile breakpoint counts
-// across machine sizes, for the event-driven index (steady and churning
-// clusters) against the historical full-scan rebuild.
+// across machine sizes, for steady and churning clusters.
 //
 // A third mode, `--sd-pass` (with optional `--json=<path>`, `--selects=<n>`,
 // `--picks=<n>`, `--flips=<n>`, `--max-freepick-p95-ns=<n>`), runs the SD
 // hot-path study: mate-selection p50/p95 latency plus candidates-scanned /
-// combinations-evaluated counters across machine sizes, for the
-// incrementally maintained MateRegistry against the historical
-// whole-job-table scan (plans are asserted identical) — plus the free-pick
+// combinations-evaluated counters across machine sizes — plus the free-pick
 // study, a 256→1024→5040→50K node-count sweep reporting free-node pick
 // p50/p95 and flip throughput for the bitmap FreeNodeIndex against the raw
 // machine scan (picks are asserted byte-identical across the two
@@ -48,9 +45,6 @@
 #include "api/simulation.h"
 #include "cluster/cluster_state_index.h"
 #include "cluster/free_node_index.h"
-#include "cluster/shard_layout.h"
-#include "cluster/sharded_cluster_index.h"
-#include "util/thread_pool.h"
 #include "core/mate_registry.h"
 #include "detlint/ruleset.h"
 #include "core/mate_selector.h"
@@ -118,6 +112,7 @@ void BM_MateSelection(benchmark::State& state) {
   mc.node = NodeConfig{2, 24};
   Machine machine(mc);
   JobRegistry jobs;
+  ClusterStateIndex index(machine, jobs);
   DromRegistry drom;
   NodeManager mgr(machine, jobs, drom);
   for (int i = 0; i < running; ++i) {
@@ -140,7 +135,10 @@ void BM_MateSelection(benchmark::State& state) {
   const JobId guest = jobs.add(guest_spec);
 
   SdConfig sd;
-  MateSelector selector(machine, jobs, sd);
+  MateRegistry registry;
+  registry.seed(jobs);
+  MateSelector selector(machine, jobs, sd, registry);
+  selector.set_cluster_index(&index);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.select(jobs.at(guest), 1000, 1e18));
   }
@@ -214,10 +212,9 @@ struct PassStats {
 
 /// A full cluster with few distinct release times (8 groups) plus a queue
 /// that cannot start: every pass re-derives reservations only. `churn`
-/// replaces one node's occupant per pass (the dirty case); `use_index`
-/// false runs the historical full-scan rebuild for comparison.
-PassStats run_pass_study(const char* label, int node_count, int passes, bool use_index,
-                         bool churn, double& generate_seconds) {
+/// replaces one node's occupant per pass (the dirty case).
+PassStats run_pass_study(const char* label, int node_count, int passes, bool churn,
+                         double& generate_seconds) {
   const auto setup_start = std::chrono::steady_clock::now();
   MachineConfig mc;
   mc.nodes = node_count;
@@ -229,7 +226,7 @@ PassStats run_pass_study(const char* label, int node_count, int passes, bool use
   ClusterStateIndex index(machine, jobs);
   NoStartExecutor executor;
   BackfillScheduler scheduler(machine, jobs, executor, SchedConfig{});
-  if (use_index) scheduler.set_cluster_index(&index);
+  scheduler.set_cluster_index(&index);
 
   const auto add_running = [&](SimTime predicted_end) {
     JobSpec spec;
@@ -311,12 +308,8 @@ int run_pass_metrics(int argc, char** argv) {
   double generate_seconds = 0.0;
   std::vector<PassStats> all;
   for (const int nodes : {256, 1024, 4096}) {
-    all.push_back(run_pass_study("indexed_steady", nodes, passes, true, false,
-                                 generate_seconds));
-    all.push_back(run_pass_study("indexed_churn", nodes, passes, true, true,
-                                 generate_seconds));
-    all.push_back(run_pass_study("fullscan_steady", nodes, passes, false, false,
-                                 generate_seconds));
+    all.push_back(run_pass_study("indexed_steady", nodes, passes, false, generate_seconds));
+    all.push_back(run_pass_study("indexed_churn", nodes, passes, true, generate_seconds));
   }
   const auto study_end = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(study_end - start).count();
@@ -327,8 +320,7 @@ int run_pass_metrics(int argc, char** argv) {
                 static_cast<unsigned long long>(s.profile_reuses),
                 static_cast<unsigned long long>(s.profile_rebuilds));
   }
-  std::printf("\nindexed_steady should stay flat as nodes grow (O(dirty) refresh);\n"
-              "fullscan_steady is the historical rebuild and scales with nodes.\n");
+  std::printf("\nindexed_steady should stay flat as nodes grow (O(dirty) refresh).\n");
 
   if (!json_path.empty()) {
     JsonWriter json;
@@ -385,46 +377,12 @@ struct SdPassStats {
   std::uint64_t plans_found = 0;
 };
 
-/// Everything that makes two plans "the same decision" — the divergence
-/// gate compares whole plans, not just the performance-impact scalar (two
-/// different mate sets can tie on PI).
-struct PlanRecord {
-  bool has_plan = false;
-  double performance_impact = 0.0;
-  SimTime guest_increase = 0;
-  std::vector<JobId> mates;
-  std::vector<SimTime> mate_increases;
-  std::vector<std::array<int, 5>> nodes;
-
-  bool operator==(const PlanRecord&) const = default;
-
-  static PlanRecord of(const std::optional<MatePlan>& plan) {
-    PlanRecord record;
-    if (!plan) return record;
-    record.has_plan = true;
-    record.performance_impact = plan->performance_impact;
-    record.guest_increase = plan->guest_increase;
-    record.mates = plan->mates;
-    record.mate_increases = plan->mate_increases;
-    record.nodes.reserve(plan->nodes.size());
-    for (const SharePlan& share : plan->nodes) {
-      record.nodes.push_back({share.node, static_cast<int>(share.mate), share.guest_cpus,
-                              share.mate_kept_cpus, share.guest_static_cpus});
-    }
-    return record;
-  }
-};
-
 /// One machine-size cell of the study: a half-full machine of running
 /// 2-node malleable mates (release waves far in the future) plus a
-/// trace-scale population of inert (pending) jobs that the historical
-/// whole-table scan must wade through. Guests of 1/2/4 nodes cycle through
-/// select(); `use_registry` toggles the incrementally maintained
-/// MateRegistry + free-run index against the historical full scan.
+/// trace-scale population of inert (pending) jobs the MateRegistry keeps
+/// out of the candidate scan. Guests of 2/4 nodes cycle through select().
 SdPassStats run_sd_pass_study(const char* label, int node_count, int selects,
-                              bool use_registry, int inert_jobs,
-                              std::vector<PlanRecord>* plans_out,
-                              double& generate_seconds) {
+                              int inert_jobs, double& generate_seconds) {
   const auto setup_start = std::chrono::steady_clock::now();
   MachineConfig mc;
   mc.nodes = node_count;
@@ -453,7 +411,7 @@ SdPassStats run_sd_pass_study(const char* label, int node_count, int selects,
     jobs.at(id).predicted_end = 1000000 + (i % 16) * 1000;
     mgr.start_static(0, id, {2 * i, 2 * i + 1});
   }
-  // Inert population: pending jobs the full scan visits and rejects.
+  // Inert population: pending jobs the registry never lists as mates.
   for (int i = 0; i < inert_jobs; ++i) add_job(1 + i % 4, 3600);
   // Guests: pending, short, cycling sizes (all satisfiable by 2-node mates).
   std::vector<JobId> guests;
@@ -462,11 +420,8 @@ SdPassStats run_sd_pass_study(const char* label, int node_count, int selects,
   MateRegistry registry;
   registry.seed(jobs);
   SdConfig sd;
-  MateSelector selector(machine, jobs, sd);
-  if (use_registry) {
-    selector.set_mate_registry(&registry);
-    selector.set_cluster_index(&index);
-  }
+  MateSelector selector(machine, jobs, sd, registry);
+  selector.set_cluster_index(&index);
 
   generate_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - setup_start).count();
@@ -477,10 +432,9 @@ SdPassStats run_sd_pass_study(const char* label, int node_count, int selects,
   for (int s = 0; s < selects; ++s) {
     const Job& guest = jobs.at(guests[static_cast<std::size_t>(s) % guests.size()]);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto plan = selector.select(guest, 1000, 1e18);
+    benchmark::DoNotOptimize(selector.select(guest, 1000, 1e18));
     const auto t1 = std::chrono::steady_clock::now();
     latencies_ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
-    if (plans_out != nullptr) plans_out->push_back(PlanRecord::of(plan));
   }
   const MateSelector::SelectStats after = selector.stats();
 
@@ -688,120 +642,6 @@ std::vector<FreePickStats> run_free_pick_study(int node_count, int picks, int fl
   return stats;
 }
 
-// ---------------------------------------------------------------------------
-// --sd-pass --shards=N: the sharded candidate-scan work-split study.
-// ---------------------------------------------------------------------------
-
-struct ShardSweepStats {
-  int nodes = 0;
-  int shards = 0;
-  int selects = 0;
-  double flat_wall_seconds = 0.0;
-  double sharded_wall_seconds = 0.0;
-  std::uint64_t flat_scanned = 0;
-  std::uint64_t max_shard_scanned = 0;
-  std::vector<std::uint64_t> shard_scanned;
-};
-
-/// The mate-selection stage (half-full machine of 2-node mates, cycling
-/// guests), timed twice over the identical select sequence: the serial
-/// flat scan against the per-shard fan-out on the shared worker pool.
-/// Plans are asserted identical select by select, and the per-shard
-/// scanned counters must sum to the flat count exactly — the ordered
-/// shard merge re-examines nothing and drops nothing.
-ShardSweepStats run_shard_sweep_study(int node_count, int selects, int shards,
-                                      double& generate_seconds) {
-  const auto setup_start = std::chrono::steady_clock::now();
-  MachineConfig mc;
-  mc.nodes = node_count;
-  mc.node = NodeConfig{2, 8};  // Curie-shaped: 16 cores per node
-  Machine machine(mc);
-  JobRegistry jobs;
-  DromRegistry drom;
-  NodeManager mgr(machine, jobs, drom);
-  ShardedClusterIndex sharded(machine, jobs, ShardConfig{shards, true});
-
-  const int cores = machine.cores_per_node();
-  const auto add_job = [&](int req_nodes, SimTime req_time) {
-    JobSpec spec;
-    spec.req_cpus = req_nodes * cores;
-    spec.req_nodes = req_nodes;
-    spec.req_time = req_time;
-    spec.base_runtime = req_time;
-    return jobs.add(spec);
-  };
-  // Mates: 2-node running jobs on half the machine — stride-4 pairs so
-  // they tile the whole id space and land in every shard. 16 release waves.
-  const int running = node_count / 4;
-  for (int i = 0; i < running; ++i) {
-    const JobId id = add_job(2, 1000000);
-    jobs.at(id).state = JobState::Running;
-    jobs.at(id).predicted_end = 1000000 + (i % 16) * 1000;
-    mgr.start_static(0, id, {4 * i, 4 * i + 1});
-  }
-  std::vector<JobId> guests;
-  for (const int size : {2, 4, 2, 2, 4, 2}) guests.push_back(add_job(size, 600));
-
-  MateRegistry registry;
-  registry.seed(jobs);
-  SdConfig sd;
-  MateSelector flat_sel(machine, jobs, sd);
-  flat_sel.set_mate_registry(&registry);
-  flat_sel.set_cluster_index(&sharded.flat());
-  MateSelector shard_sel(machine, jobs, sd);
-  shard_sel.set_mate_registry(&registry);
-  shard_sel.set_cluster_index(&sharded.flat());
-  shard_sel.set_shard_context(&sharded, &shard_worker_pool());
-
-  generate_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - setup_start).count();
-
-  const auto run_tier = [&](MateSelector& selector, std::vector<PlanRecord>& plans) {
-    plans.reserve(static_cast<std::size_t>(selects));
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int s = 0; s < selects; ++s) {
-      const Job& guest = jobs.at(guests[static_cast<std::size_t>(s) % guests.size()]);
-      plans.push_back(PlanRecord::of(selector.select(guest, 1000, 1e18)));
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-  std::vector<PlanRecord> flat_plans;
-  std::vector<PlanRecord> shard_plans;
-  const double flat_wall = run_tier(flat_sel, flat_plans);
-  const double sharded_wall = run_tier(shard_sel, shard_plans);
-  if (flat_plans != shard_plans) {
-    std::fprintf(stderr,
-                 "ERROR: sharded selection diverged from the flat scan at %d nodes, "
-                 "%d shards\n",
-                 node_count, shards);
-    std::exit(1);
-  }
-
-  ShardSweepStats stats;
-  stats.nodes = node_count;
-  stats.shards = shards;
-  stats.selects = selects;
-  stats.flat_wall_seconds = flat_wall;
-  stats.sharded_wall_seconds = sharded_wall;
-  stats.flat_scanned = flat_sel.stats().candidates_scanned;
-  stats.shard_scanned = shard_sel.stats().shard_scanned;
-  for (const std::uint64_t scanned : stats.shard_scanned) {
-    stats.max_shard_scanned = std::max(stats.max_shard_scanned, scanned);
-  }
-  std::uint64_t sum = 0;
-  for (const std::uint64_t scanned : stats.shard_scanned) sum += scanned;
-  if (sum != stats.flat_scanned ||
-      shard_sel.stats().candidates_scanned != stats.flat_scanned) {
-    std::fprintf(stderr,
-                 "ERROR: per-shard scan counters do not partition the flat scan at %d "
-                 "nodes (%llu sharded vs %llu flat)\n",
-                 node_count, static_cast<unsigned long long>(sum),
-                 static_cast<unsigned long long>(stats.flat_scanned));
-    std::exit(1);
-  }
-  return stats;
-}
-
 int run_sd_pass(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const int selects = static_cast<int>(args.get_int("selects", 400));
@@ -810,8 +650,6 @@ int run_sd_pass(int argc, char** argv) {
   const int flips = static_cast<int>(args.get_int("flips", 200000));
   const double freepick_budget_ns =
       static_cast<double>(args.get_int("max-freepick-p95-ns", 0));
-  const int shards = static_cast<int>(args.get_int("shards", 1));
-  const double max_shard_wall_ratio = args.get_double("max-shard-wall-ratio", 0.0);
   const std::string json_path = args.get_or("json", "");
 
   std::printf("mate-selection latency (half-full machine of 2-node mates, %d inert jobs)\n",
@@ -823,21 +661,7 @@ int run_sd_pass(int argc, char** argv) {
   double generate_seconds = 0.0;
   std::vector<SdPassStats> all;
   for (const int nodes : {256, 1024, 5040}) {
-    // Identical decisions are part of the contract: compare every select's
-    // whole plan (mates, increases, node assignments) between the paths.
-    std::vector<PlanRecord> full_plans;
-    std::vector<PlanRecord> reg_plans;
-    all.push_back(run_sd_pass_study("fullscan", nodes, selects, false, inert_jobs,
-                                    &full_plans, generate_seconds));
-    all.push_back(run_sd_pass_study("registry", nodes, selects, true, inert_jobs,
-                                    &reg_plans, generate_seconds));
-    if (full_plans != reg_plans) {
-      std::fprintf(stderr,
-                   "ERROR: registry-backed selection diverged from the full scan at %d "
-                   "nodes\n",
-                   nodes);
-      return 1;
-    }
+    all.push_back(run_sd_pass_study("registry", nodes, selects, inert_jobs, generate_seconds));
   }
 
   // The free-pick sweep: one decade past the mate study, up to a 10x-Curie
@@ -848,16 +672,6 @@ int run_sd_pass(int argc, char** argv) {
     const auto cell = run_free_pick_study(nodes, picks, flips, generate_seconds);
     free_pick.insert(free_pick.end(), cell.begin(), cell.end());
   }
-  // --shards=N: the work-split study. The flat scan and the per-shard
-  // fan-out answer the same selects; parity and the counter partition are
-  // checked inside the study (hard exit on divergence).
-  std::vector<ShardSweepStats> shard_sweep;
-  if (shards > 1) {
-    for (const int nodes : {5040, 50000}) {
-      shard_sweep.push_back(run_shard_sweep_study(nodes, selects, shards,
-                                                  generate_seconds));
-    }
-  }
   const auto study_end = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(study_end - start).count();
 
@@ -867,8 +681,7 @@ int run_sd_pass(int argc, char** argv) {
                 static_cast<unsigned long long>(s.combinations_evaluated),
                 static_cast<unsigned long long>(s.plans_found));
   }
-  std::printf("\nregistry scans only the eligible mates (running malleable non-guests);\n"
-              "fullscan is the historical whole-job-table walk. Plans are identical.\n");
+  std::printf("\nregistry scans only the eligible mates (running malleable non-guests).\n");
 
   std::printf("\nfree-node pick latency + flip throughput (half-occupied machine)\n");
   std::printf("%-14s %8s %10s %10s %14s\n", "case", "nodes", "p50(ns)", "p95(ns)",
@@ -880,56 +693,6 @@ int run_sd_pass(int argc, char** argv) {
   std::printf("\nbitmap is the O(1)-flip word index schedulers use; machine_scan is the\n"
               "raw ordered-set walk (its flips ride inside the allocation path — not\n"
               "measured). Picks are byte-identical across the two tiers.\n");
-
-  // Per-shard split report and gates: sum equality was checked inside the
-  // study; at >= 3 shards no shard may carry more than ~1/3 of the flat
-  // scan (the acceptance split), and the optional wall-ratio gate guards
-  // the multi-core speedup.
-  if (shards > 1) {
-    std::printf("\nsharded candidate scan (%d shards, parallel fan-out on the shared pool)\n",
-                shards);
-    std::printf("%8s %12s %12s %12s %14s %10s\n", "nodes", "flat_scan", "max_shard",
-                "flat_s", "sharded_s", "ratio");
-    for (const auto& s : shard_sweep) {
-      const double ratio = s.flat_wall_seconds > 0.0
-                               ? s.sharded_wall_seconds / s.flat_wall_seconds
-                               : 0.0;
-      std::printf("%8d %12llu %12llu %12.4f %14.4f %10.2f\n", s.nodes,
-                  static_cast<unsigned long long>(s.flat_scanned),
-                  static_cast<unsigned long long>(s.max_shard_scanned),
-                  s.flat_wall_seconds, s.sharded_wall_seconds, ratio);
-      if (shards >= 3 && s.max_shard_scanned * 3 > s.flat_scanned + s.flat_scanned / 10) {
-        std::fprintf(stderr,
-                     "ERROR: at %d nodes one shard scanned %llu of %llu flat candidates "
-                     "— the split never spread the work\n",
-                     s.nodes, static_cast<unsigned long long>(s.max_shard_scanned),
-                     static_cast<unsigned long long>(s.flat_scanned));
-        return 1;
-      }
-    }
-    std::printf("plans are byte-identical across the tiers; per-shard counters sum to\n"
-                "the flat scan exactly.\n");
-    // Wall-clock gate: only meaningful when the host can actually run the
-    // shards concurrently (the 1-core CI sandbox skips it).
-    if (max_shard_wall_ratio > 0.0) {
-      if (ThreadPool::default_concurrency() < static_cast<std::size_t>(shards)) {
-        std::printf("(wall-ratio gate skipped: %zu hardware threads < %d shards)\n",
-                    ThreadPool::default_concurrency(), shards);
-      } else {
-        const ShardSweepStats& largest = shard_sweep.back();
-        const double ratio = largest.sharded_wall_seconds / largest.flat_wall_seconds;
-        if (ratio > max_shard_wall_ratio) {
-          std::fprintf(stderr,
-                       "ERROR: sharded scan wall at %d nodes is %.2fx the flat scan, "
-                       "over the %.2fx budget\n",
-                       largest.nodes, ratio, max_shard_wall_ratio);
-          return 1;
-        }
-        std::printf("shard wall gate: %.2fx <= %.2fx budget at %d nodes\n", ratio,
-                    max_shard_wall_ratio, largest.nodes);
-      }
-    }
-  }
 
   // CI regression guard: the bitmap pick p95 at the largest machine must
   // stay inside the budget (generous — the point is catching a complexity
@@ -969,8 +732,6 @@ int run_sd_pass(int argc, char** argv) {
     json.field("picks", picks);
     json.field("flips", flips);
     json.field("max_freepick_p95_ns", freepick_budget_ns);
-    json.field("shards", shards);
-    json.field("max_shard_wall_ratio", max_shard_wall_ratio);
     json.end_object();
     json.field("wall_seconds", wall);
     json.key("sd_pass");
@@ -1001,26 +762,6 @@ int run_sd_pass(int argc, char** argv) {
       json.end_object();
     }
     json.end_array();
-    if (!shard_sweep.empty()) {
-      json.key("shard_sweep");
-      json.begin_array();
-      for (const auto& s : shard_sweep) {
-        json.begin_object();
-        json.field("nodes", s.nodes);
-        json.field("shards", s.shards);
-        json.field("selects", s.selects);
-        json.field("flat_wall_seconds", s.flat_wall_seconds);
-        json.field("sharded_wall_seconds", s.sharded_wall_seconds);
-        json.field("flat_scanned", s.flat_scanned);
-        json.field("max_shard_scanned", s.max_shard_scanned);
-        json.key("shard_scanned");
-        json.begin_array();
-        for (const std::uint64_t scanned : s.shard_scanned) json.value(scanned);
-        json.end_array();
-        json.end_object();
-      }
-      json.end_array();
-    }
     write_phase_tail(json, generate_seconds, wall - generate_seconds,
                      std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                    study_end)
@@ -1060,7 +801,7 @@ struct SdSaturationStats {
 /// about nothing being startable.
 SdSaturationStats run_sd_saturation_cell(const char* label, int node_count, int depth,
                                          int passes, bool bounded, int guest_budget,
-                                         double& generate_seconds, int shards = 1) {
+                                         double& generate_seconds) {
   const auto setup_start = std::chrono::steady_clock::now();
   MachineConfig mc;
   mc.nodes = node_count;
@@ -1069,15 +810,7 @@ SdSaturationStats run_sd_saturation_cell(const char* label, int node_count, int 
   JobRegistry jobs;
   DromRegistry drom;
   NodeManager mgr(machine, jobs, drom);
-  // One observer slot on the Machine: flat index OR the sharded
-  // coordinator, never both.
-  std::optional<ClusterStateIndex> index;
-  std::optional<ShardedClusterIndex> sharded;
-  if (shards > 1) {
-    sharded.emplace(machine, jobs, ShardConfig{shards, true});
-  } else {
-    index.emplace(machine, jobs);
-  }
+  ClusterStateIndex index(machine, jobs);
 
   const int cores = machine.cores_per_node();
   const auto add_job = [&](int req_nodes, SimTime req_time) {
@@ -1104,11 +837,7 @@ SdSaturationStats run_sd_saturation_cell(const char* label, int node_count, int 
   sd.scan.guest_budget = bounded ? guest_budget : 0;
   NoStartExecutor executor;
   SdPolicyScheduler scheduler(machine, jobs, executor, sched, sd);
-  if (sharded) {
-    scheduler.set_sharded_index(&*sharded);
-  } else {
-    scheduler.set_cluster_index(&*index);
-  }
+  scheduler.set_cluster_index(&index);
 
   // The saturated queue: `depth` pending 3-node guests.
   for (int q = 0; q < depth; ++q) scheduler.on_submit(add_job(3, 600));
@@ -1145,7 +874,6 @@ int run_sd_saturation(int argc, char** argv) {
   const int passes = static_cast<int>(args.get_int("sd-sat-passes", 4));
   const int guest_budget = static_cast<int>(args.get_int("sd-guest-budget", 64));
   const double max_ratio = args.get_double("max-sd-saturation-ratio", 0.0);
-  const int shards = static_cast<int>(args.get_int("shards", 1));
   const std::string json_path = args.get_or("json", "");
 
   // Comma-separated queue depths, ascending.
@@ -1176,11 +904,6 @@ int run_sd_saturation(int argc, char** argv) {
   for (const int depth : depths) {
     all.push_back(run_sd_saturation_cell("budgeted", nodes, depth, passes, true,
                                          guest_budget, generate_seconds));
-    if (shards > 1) {
-      all.push_back(run_sd_saturation_cell("budgeted_sharded", nodes, depth, passes,
-                                           true, guest_budget, generate_seconds,
-                                           shards));
-    }
     all.push_back(run_sd_saturation_cell("naive", nodes, depth, passes, false, 0,
                                          generate_seconds));
   }
@@ -1209,33 +932,6 @@ int run_sd_saturation(int argc, char** argv) {
                    "failed-select ledger is not engaging\n",
                    s.depth);
       return 1;
-    }
-  }
-
-  // Sharded parity gate: the sharded budgeted tier must reach byte-identical
-  // decisions — every decision counter equal to the flat budgeted cell at
-  // the same depth (the ordered shard merge re-examines nothing).
-  if (shards > 1) {
-    const auto budgeted_at = [&all](const char* label, int depth) -> const SdSaturationStats* {
-      for (const auto& s : all) {
-        if (s.label == label && s.depth == depth) return &s;
-      }
-      return nullptr;
-    };
-    for (const int depth : depths) {
-      const SdSaturationStats* flat = budgeted_at("budgeted", depth);
-      const SdSaturationStats* shd = budgeted_at("budgeted_sharded", depth);
-      if (flat == nullptr || shd == nullptr) continue;
-      if (flat->estimate_rejections != shd->estimate_rejections ||
-          flat->selection_failures != shd->selection_failures ||
-          flat->rescans_avoided != shd->rescans_avoided ||
-          flat->budget_deferrals != shd->budget_deferrals) {
-        std::fprintf(stderr,
-                     "ERROR: sharded budgeted cell at depth %d diverged from the flat "
-                     "budgeted decisions (%d shards)\n",
-                     depth, shards);
-        return 1;
-      }
     }
   }
 
@@ -1274,7 +970,6 @@ int run_sd_saturation(int argc, char** argv) {
     json.field("passes", passes);
     json.field("sd_guest_budget", guest_budget);
     json.field("max_sd_saturation_ratio", max_ratio);
-    json.field("shards", shards);
     json.end_object();
     json.field("wall_seconds", wall);
     json.key("sd_saturation");

@@ -15,9 +15,13 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
     : config_(config),
       workload_(std::move(workload)),
       machine_(config.machine),
-      cluster_index_(machine_, jobs_, config.shards),
+      cluster_index_(machine_, jobs_),
       node_mgr_(machine_, jobs_, drom_),
       tracker_(config.execution_model) {
+  if (config_.shards.count != 1) {
+    throw std::invalid_argument("Simulation: shards.count must be 1, got " +
+                                std::to_string(config_.shards.count));
+  }
   // Already-prepared workloads (the generators and SweepRunner prepare once)
   // stay shared — no per-simulation deep copy; anything else gets a private
   // prepared copy, exactly as before.
@@ -51,7 +55,7 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
   if (predictor_) {
     scheduler_->set_runtime_predictor(&*predictor_);
   }
-  scheduler_->set_sharded_index(&cluster_index_);
+  scheduler_->set_cluster_index(&cluster_index_);
   engine_.set_handler([this](const EventQueue::Fired& fired) { handle_event(fired); });
 }
 

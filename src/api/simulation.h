@@ -20,8 +20,6 @@
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
 #include "cluster/machine.h"
-#include "cluster/shard_layout.h"
-#include "cluster/sharded_cluster_index.h"
 #include "core/sd_config.h"
 #include "core/sd_policy.h"
 #include "drom/node_manager.h"
@@ -46,6 +44,12 @@ enum class PolicyKind : int { Fcfs = 0, Backfill = 1, SdPolicy = 2 };
   }
   return "?";
 }
+
+/// Scheduler-state sharding. Only the single flat cluster view exists, so
+/// `count` must be 1; Simulation rejects anything else.
+struct ShardConfig {
+  int count = 1;
+};
 
 struct SimulationConfig {
   MachineConfig machine;
@@ -74,10 +78,6 @@ struct SimulationConfig {
   /// what makes high-frequency malleability viable.
   SimTime reconfig_overhead = 0;
 
-  /// Node-contiguous scheduler-state shards (cluster/shard_layout.h).
-  /// Decisions are byte-identical at every count (deterministic ordered
-  /// shard merge); count > 1 splits pass work per shard, and parallel
-  /// additionally fans candidate scans onto the shared worker pool.
   ShardConfig shards;
 
   /// Safety valve for runaway simulations (0 = unlimited).
@@ -87,6 +87,7 @@ struct SimulationConfig {
 class Simulation final : public StartExecutor {
  public:
   /// The workload is prepared (clamped/sorted) against the machine.
+  /// Throws std::invalid_argument when config.shards.count != 1.
   Simulation(SimulationConfig config, Workload workload);
 
   /// Run to completion and return the report. One-shot.
@@ -120,7 +121,7 @@ class Simulation final : public StartExecutor {
   Engine engine_;
   Machine machine_;
   JobRegistry jobs_;
-  ShardedClusterIndex cluster_index_;
+  ClusterStateIndex cluster_index_;
   DromRegistry drom_;
   NodeManager node_mgr_;
   ProgressTracker tracker_;

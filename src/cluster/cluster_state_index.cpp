@@ -6,9 +6,8 @@
 
 namespace sdsched {
 
-ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs,
-                                     bool attach_observer)
-    : machine_(machine), jobs_(jobs), attached_(attach_observer) {
+ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
+    : machine_(machine), jobs_(jobs) {
   const int nodes = machine_.node_count();
   node_free_at_.assign(static_cast<std::size_t>(nodes), kEmptyNode);
   node_class_.resize(static_cast<std::size_t>(nodes));
@@ -39,12 +38,10 @@ ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs,
   // Index whatever is already running (warm-start scenarios attach to a
   // populated machine).
   for (int id = 0; id < nodes; ++id) refresh_node(id);
-  if (attached_) machine_.set_observer(this);
+  machine_.set_observer(this);
 }
 
-ClusterStateIndex::~ClusterStateIndex() {
-  if (attached_) machine_.set_observer(nullptr);
-}
+ClusterStateIndex::~ClusterStateIndex() { machine_.set_observer(nullptr); }
 
 SimTime ClusterStateIndex::scan_free_at(int node_id) const {
   const Node& node = machine_.node(node_id);
@@ -137,6 +134,16 @@ int ClusterStateIndex::eligible_free_count(const JobConstraints& constraints) co
 }
 
 std::optional<std::vector<int>> ClusterStateIndex::find_free_nodes(
+    int count, const JobConstraints* constraints) const {
+  auto picked = pick_from_bitmap(count, constraints);
+#ifdef SDSCHED_INDEX_CROSSCHECK
+  assert(picked == machine_.find_free_nodes(count, constraints) &&
+         "bitmap index pick diverged from the machine scan");
+#endif
+  return picked;
+}
+
+std::optional<std::vector<int>> ClusterStateIndex::pick_from_bitmap(
     int count, const JobConstraints* constraints) const {
   assert(count >= 1);
   // Mirror Machine::find_free_nodes' early-outs exactly: global free count
@@ -259,20 +266,6 @@ bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
     }
   }
   return true;
-}
-
-std::optional<std::vector<int>> pick_free_nodes(const Machine& machine,
-                                                const ClusterStateIndex* index, int count,
-                                                const JobConstraints* constraints) {
-  if (index == nullptr) return machine.find_free_nodes(count, constraints);
-#ifdef SDSCHED_INDEX_CROSSCHECK
-  const auto indexed = index->find_free_nodes(count, constraints);
-  const auto scanned = machine.find_free_nodes(count, constraints);
-  assert(indexed == scanned && "bitmap index pick diverged from the machine scan");
-  return indexed;
-#else
-  return index->find_free_nodes(count, constraints);
-#endif
 }
 
 }  // namespace sdsched

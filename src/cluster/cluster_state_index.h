@@ -25,13 +25,13 @@
 //  * a version counter, so schedulers can reuse their profile base across
 //    passes when nothing changed.
 //
+// The index is the only view of cluster state a scheduling pass reads.
 // check_consistent() cross-checks everything against the brute-force node
 // scan the index replaced; compile with SDSCHED_INDEX_CROSSCHECK (the asan
 // preset does) to run it on every scheduling pass — the free-node check
 // covers every bitmap bit, the summary invariant, and the derived run view
-// against the node scan (see free_node_index.h), and pick_free_nodes()
-// additionally compares every indexed free-node pick against the machine
-// scan.
+// against the node scan (see free_node_index.h), and find_free_nodes()
+// additionally compares every pick against Machine::find_free_nodes.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +50,8 @@ namespace sdsched {
 class ClusterStateIndex final : public MachineObserver {
  public:
   /// Attaches to `machine` as its observer and indexes its current state.
-  /// `jobs` provides occupants' predicted ends. With `attach_observer`
-  /// false the index never touches the machine's observer slot: an owner
-  /// (ShardedClusterIndex) registers itself instead and routes every
-  /// notification through, reading the per-node before/after state to keep
-  /// its shard aggregates in lockstep.
-  ClusterStateIndex(Machine& machine, const JobRegistry& jobs,
-                    bool attach_observer = true);
+  /// `jobs` provides occupants' predicted ends.
+  ClusterStateIndex(Machine& machine, const JobRegistry& jobs);
   ~ClusterStateIndex() override;
 
   ClusterStateIndex(const ClusterStateIndex&) = delete;
@@ -100,7 +95,9 @@ class ClusterStateIndex final : public MachineObserver {
   /// Drop-in indexed replacement for Machine::find_free_nodes: same node
   /// ids (lowest-first; earliest adequate run for contiguous requests),
   /// but resolved from the bitmap words — O(words/64 + words touched)
-  /// worst case instead of O(free nodes). `count` must be >= 1.
+  /// worst case instead of O(free nodes). `count` must be >= 1. Under
+  /// SDSCHED_INDEX_CROSSCHECK every pick is compared against the machine
+  /// scan.
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
@@ -132,16 +129,15 @@ class ClusterStateIndex final : public MachineObserver {
   [[nodiscard]] bool check_consistent(std::string* diagnosis = nullptr) const;
 
  private:
-  /// The sharded coordinator routes machine notifications through this
-  /// index and mirrors per-node free_at transitions into its per-shard
-  /// aggregates — it needs the pre/post node_free_at_ view and refresh_node.
-  friend class ShardedClusterIndex;
-
   /// Recompute one node's free_at and class/free bookkeeping; bumps the
   /// version only when something actually changed.
   void refresh_node(int node_id);
 
   [[nodiscard]] SimTime scan_free_at(int node_id) const;
+
+  /// find_free_nodes without the crosscheck.
+  [[nodiscard]] std::optional<std::vector<int>> pick_from_bitmap(
+      int count, const JobConstraints* constraints) const;
 
   static constexpr SimTime kEmptyNode = INT64_MIN;
 
@@ -166,15 +162,6 @@ class ClusterStateIndex final : public MachineObserver {
 
   std::uint64_t version_ = 0;
   std::uint64_t mutation_serial_ = 0;
-  bool attached_ = false;  ///< this index holds the machine's observer slot
 };
-
-/// Free-node picking through the index when one is attached, through the
-/// machine scan otherwise — the single dispatch point schedulers and the
-/// MateSelector share. Under SDSCHED_INDEX_CROSSCHECK every indexed pick is
-/// compared against the machine scan.
-[[nodiscard]] std::optional<std::vector<int>> pick_free_nodes(
-    const Machine& machine, const ClusterStateIndex* index, int count,
-    const JobConstraints* constraints);
 
 }  // namespace sdsched

@@ -186,47 +186,6 @@ std::optional<std::vector<int>> FreeNodeIndex::pick(int count,
   return std::nullopt;
 }
 
-int FreeNodeIndex::pick_in_words(std::size_t word_begin, std::size_t word_end,
-                                 int count, const std::vector<int>& classes,
-                                 std::vector<int>& out) const {
-  if (count <= 0 || word_begin >= word_end) return 0;
-  if (word_end > word_count_) word_end = word_count_;
-  const auto word_at = [&](std::size_t w) -> std::uint64_t {
-    std::uint64_t bits = 0;
-    for (const int cls : classes) bits |= classes_[static_cast<std::size_t>(cls)].words[w];
-    return bits;
-  };
-  // Same summary-assisted skip as pick(), bounded to the word range: one
-  // summary bit test per 64 empty words inside the shard.
-  const auto next_word = [&](std::size_t from) -> std::size_t {
-    if (from >= word_end) return word_end;
-    std::size_t s = from >> 6;
-    std::uint64_t sw = 0;
-    for (const int cls : classes) sw |= classes_[static_cast<std::size_t>(cls)].summary[s];
-    sw = sw >> (from & 63) << (from & 63);  // clear bits < from
-    const std::size_t summary_count = (word_count_ + 63) / 64;
-    while (sw == 0) {
-      if (++s >= summary_count || (s << 6) >= word_end) return word_end;
-      for (const int cls : classes) {
-        sw |= classes_[static_cast<std::size_t>(cls)].summary[s];
-      }
-    }
-    const std::size_t w = (s << 6) + static_cast<std::size_t>(std::countr_zero(sw));
-    return w < word_end ? w : word_end;
-  };
-  int picked = 0;
-  for (std::size_t w = next_word(word_begin); w < word_end; w = next_word(w + 1)) {
-    std::uint64_t bits = word_at(w);
-    while (bits != 0) {
-      out.push_back(static_cast<int>((w << 6) +
-                                     static_cast<std::size_t>(std::countr_zero(bits))));
-      if (++picked == count) return picked;
-      bits &= bits - 1;  // clear the lowest set bit
-    }
-  }
-  return picked;
-}
-
 std::map<int, int> FreeNodeIndex::runs_of_class(int cls) const {
   std::map<int, int> runs;
   const ClassBits& cb = classes_[static_cast<std::size_t>(cls)];

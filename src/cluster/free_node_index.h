@@ -25,8 +25,6 @@
 // belong to). Machines whose node count is not a multiple of 64 leave the
 // tail bits of the last word permanently zero ("dead bits"): ids >= the
 // node count are never inserted, so popcounts and scans need no masking.
-// This flat layout is deliberately shard-friendly: a future scheduler shard
-// owning nodes [a, b) reads words [a/64, ceil(b/64)) without coordination.
 //
 // The index answers with exactly the node ids Machine::find_free_nodes
 // would return (lowest-first, earliest adequate span for contiguous
@@ -76,15 +74,6 @@ class FreeNodeIndex {
   [[nodiscard]] std::optional<std::vector<int>> pick(int count,
                                                      const std::vector<int>& classes,
                                                      bool contiguous) const;
-
-  /// Shard-local slice of the non-contiguous pick: append to `out` up to
-  /// `count` lowest free ids whose class is listed in `classes` and whose
-  /// word index falls in [word_begin, word_end) — whole words only, the
-  /// ShardLayout guarantees shard boundaries are word-aligned. Returns the
-  /// number appended. Walking word ranges in ascending order reproduces
-  /// pick()'s global lowest-first order exactly (the ordered shard merge).
-  int pick_in_words(std::size_t word_begin, std::size_t word_end, int count,
-                    const std::vector<int>& classes, std::vector<int>& out) const;
 
   /// One class's free runs, derived from the bitmap on demand — test and
   /// diagnostic surface only (the hot paths never materialize runs).

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <future>
+#include <stdexcept>
 
 #include "cluster/cluster_state_index.h"
-#include "cluster/sharded_cluster_index.h"
 #include "core/adaptive_sharing.h"
 #include "core/cutoff.h"
 #include "core/mate_registry.h"
 #include "model/runtime_model.h"
-#include "util/thread_pool.h"
 #include "workload/app_profiles.h"
 
 namespace sdsched {
@@ -37,11 +35,6 @@ double penalty_for(const Job& mate, SimTime now, SimTime increase) noexcept {
   return (static_cast<double>(mate.wait_time(now)) + static_cast<double>(increase) + req) /
          req;
 }
-
-/// Below this many eligible mates a sharded scan runs inline even with a
-/// pool attached: task dispatch would cost more than the scan. Purely a
-/// wall-clock knob — the merge is byte-identical either way.
-constexpr std::size_t kParallelScanMin = 64;
 
 }  // namespace
 
@@ -74,10 +67,8 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
   // so the cache keys on mutation_serial(), which bumps on every machine
   // notification, not on version(), which only bumps when indexed state
   // changed. Adaptive sharing makes the SharingFactor a function of the
-  // (mate, guest) pairing, and standalone selectors have no serial source:
-  // both refill every time (the historical cost).
-  if (index_ != nullptr && !config_.adaptive_sharing && slot.valid &&
-      slot.version == index_->mutation_serial()) {
+  // (mate, guest) pairing, so it refills every time.
+  if (!config_.adaptive_sharing && slot.valid && slot.version == index_->mutation_serial()) {
     return slot;
   }
 
@@ -114,7 +105,7 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
     slot.nodes.push_back(budget);
   }
   slot.valid = true;
-  slot.version = index_ != nullptr ? index_->mutation_serial() : 0;
+  slot.version = index_->mutation_serial();
   return slot;
 }
 
@@ -169,27 +160,12 @@ std::vector<MateSelector::Candidate> MateSelector::collect_candidates(
   // move during the select (the registry does not grow mid-select).
   if (budget_cache_.size() < jobs_.size()) budget_cache_.resize(jobs_.size());
 
+  // Only the statically eligible mates, in ascending id order.
   std::vector<Candidate> candidates;
-  candidates.reserve(registry_ != nullptr ? registry_->mates().size() : 16);
-  if (registry_ != nullptr && sharded_ != nullptr && sharded_->shard_count() > 1) {
-    // Sharded path: per-shard examination, merged in fixed shard order.
-    // Sorting below by the strict (penalty, id) total order makes the
-    // result independent of the examination order, so this is
-    // byte-identical to the flat ascending-id walk.
-    collect_sharded(guest, now, max_slowdown, d0, u_max, candidates);
-  } else if (registry_ != nullptr) {
-    // Incremental path: only the statically eligible mates, in ascending id
-    // order — the same order (and therefore the same sorted result) the
-    // full registry scan produces.
-    for (const JobId id : registry_->mates()) {
-      ++stats_.candidates_scanned;
-      examine_candidate(jobs_.at(id), guest, now, max_slowdown, d0, u_max, candidates);
-    }
-  } else {
-    for (const auto& job : jobs_) {
-      ++stats_.candidates_scanned;
-      examine_candidate(job, guest, now, max_slowdown, d0, u_max, candidates);
-    }
+  candidates.reserve(registry_.mates().size());
+  for (const JobId id : registry_.mates()) {
+    ++stats_.candidates_scanned;
+    examine_candidate(jobs_.at(id), guest, now, max_slowdown, d0, u_max, candidates);
   }
 
   std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
@@ -212,75 +188,10 @@ std::vector<MateSelector::Candidate> MateSelector::collect_candidates(
   return candidates;
 }
 
-void MateSelector::collect_sharded(const Job& guest, SimTime now, double max_slowdown,
-                                   SimTime quick_d0, int u_max,
-                                   std::vector<Candidate>& candidates) const {
-  const ShardLayout& layout = sharded_->layout();
-  const auto shards = static_cast<std::size_t>(sharded_->shard_count());
-
-  // Partition the eligible-mate ids by the shard owning each mate's anchor
-  // node (its first share — any deterministic assignment works: the merge
-  // below re-establishes the flat order). Within a shard, ids stay in the
-  // registry's ascending order.
-  if (shard_mates_.size() < shards) shard_mates_.resize(shards);
-  for (auto& ids : shard_mates_) ids.clear();
-  const std::vector<JobId>& mates = registry_->mates();
-  for (const JobId id : mates) {
-    const Job& job = jobs_.at(id);
-    const int anchor = job.shares.empty() ? 0 : job.shares.front().node;
-    shard_mates_[static_cast<std::size_t>(layout.shard_of(anchor))].push_back(id);
-  }
-
-  // Examine each shard's slice independently. Concurrency safety rests on
-  // the partition: a job is examined by exactly one task, and
-  // examine_candidate writes only that job's budget-cache slot (pre-sized
-  // by the caller, so slots never move) and the task-local output vector.
-  struct ShardScan {
-    std::vector<Candidate> found;
-    std::uint64_t scanned = 0;
-  };
-  const auto scan_shard = [&](std::size_t s) {
-    ShardScan result;
-    for (const JobId id : shard_mates_[s]) {
-      ++result.scanned;
-      examine_candidate(jobs_.at(id), guest, now, max_slowdown, quick_d0, u_max,
-                        result.found);
-    }
-    return result;
-  };
-  std::vector<ShardScan> results(shards);
-  if (shard_pool_ != nullptr && mates.size() >= kParallelScanMin) {
-    std::vector<std::future<ShardScan>> futures;
-    futures.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      futures.push_back(shard_pool_->submit([&scan_shard, s] { return scan_shard(s); }));
-    }
-    for (std::size_t s = 0; s < shards; ++s) results[s] = futures[s].get();
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) results[s] = scan_shard(s);
-  }
-
-  // Deterministic ordered merge: fixed shard order, counters summed in the
-  // same order, candidates concatenated shard by shard (the caller's
-  // (penalty, id) sort erases the partition boundary).
-  if (stats_.shard_scanned.size() < shards) stats_.shard_scanned.resize(shards, 0);
-  for (std::size_t s = 0; s < shards; ++s) {
-    stats_.candidates_scanned += results[s].scanned;
-    stats_.shard_scanned[s] += results[s].scanned;
-    candidates.insert(candidates.end(),
-                      std::make_move_iterator(results[s].found.begin()),
-                      std::make_move_iterator(results[s].found.end()));
-  }
-  ++stats_.sharded_selects;
-}
-
 bool MateSelector::resolve_free_prefix(const Job& guest, int free_used,
                                        const std::vector<int>& needs,
                                        FreePrefix& out) const {
-  const auto free_ids =
-      sharded_ != nullptr && sharded_->shard_count() > 1
-          ? sharded_->find_free_nodes(free_used, &guest.spec.constraints)
-          : pick_free_nodes(machine_, index_, free_used, &guest.spec.constraints);
+  const auto free_ids = index_->find_free_nodes(free_used, &guest.spec.constraints);
   if (!free_ids) return false;
   out.nodes.clear();
   out.nodes.reserve(static_cast<std::size_t>(free_used));
@@ -371,6 +282,9 @@ std::optional<MatePlan> MateSelector::evaluate_combination(
 std::optional<MatePlan> MateSelector::select(const Job& guest, SimTime now,
                                              double max_slowdown, int max_free_nodes,
                                              SimTime guest_runtime) const {
+  if (index_ == nullptr) {
+    throw std::logic_error("MateSelector::select needs a cluster index (set_cluster_index)");
+  }
   ++stats_.selects;
   last_scan_ = ScanSummary{};  // a degenerate guest never scans: proof holds forever
   const int total_nodes = guest.spec.req_nodes;

@@ -18,14 +18,12 @@
 // truncated to `nm`; combinations of up to `m` mates are enumerated
 // depth-first with branch-and-bound pruning on the penalty lower bound.
 //
-// Cost model: with a MateRegistry attached (set_mate_registry — the
-// SdPolicyScheduler wires its own), candidate collection walks only the
-// eligible-mate ids instead of the whole job registry; with a
-// ClusterStateIndex attached (set_cluster_index), free-node picks go
-// through the class-partitioned free-run index. Loop invariants of the DFS
-// (the guest's balanced split and the free-node prefix of a plan) are
-// resolved once per select() / per free_used value, never per evaluated
-// combination. Decisions are identical either way — the fallbacks scan.
+// Cost model: candidate collection walks only the MateRegistry's
+// eligible-mate ids (the SdPolicyScheduler owns the registry it passes in),
+// and free-node picks go through the ClusterStateIndex's class-partitioned
+// bitmap. Loop invariants of the DFS (the guest's balanced split and the
+// free-node prefix of a plan) are resolved once per select() / per
+// free_used value, never per evaluated combination.
 #pragma once
 
 #include <cstdint>
@@ -41,35 +39,18 @@ namespace sdsched {
 
 class ClusterStateIndex;
 class MateRegistry;
-class ShardedClusterIndex;
-class ThreadPool;
 
 class MateSelector {
  public:
-  MateSelector(const Machine& machine, const JobRegistry& jobs, const SdConfig& config) noexcept
-      : machine_(machine), jobs_(jobs), config_(config) {}
+  /// `registry` supplies the candidate mates; it must hear every start and
+  /// finish of `jobs`.
+  MateSelector(const Machine& machine, const JobRegistry& jobs, const SdConfig& config,
+               const MateRegistry& registry) noexcept
+      : machine_(machine), jobs_(jobs), config_(config), registry_(registry) {}
 
-  /// Walk this registry's eligible-mate ids instead of scanning every job.
-  void set_mate_registry(const MateRegistry* registry) noexcept { registry_ = registry; }
-
-  /// Resolve free-node picks through the index instead of the machine scan.
+  /// The cluster view free-node picks and the budget cache read. select()
+  /// throws std::logic_error until one is attached.
   void set_cluster_index(const ClusterStateIndex* index) noexcept { index_ = index; }
-
-  /// Shard the candidate scan: with a registry attached and more than one
-  /// shard, collect_candidates partitions the eligible-mate ids by the
-  /// shard owning each mate's anchor node and examines the shards
-  /// independently — on `pool` when given (per-shard tasks are leaves,
-  /// never submitting further work), inline in shard order otherwise.
-  /// The per-shard results are concatenated in fixed shard order and
-  /// sorted by the same strict (penalty, id) total order as the flat
-  /// walk, so the candidate list — and therefore every plan — is
-  /// byte-identical at every shard count, with or without the pool.
-  /// Free-node picks inside select() route through the sharded ordered
-  /// merge as well.
-  void set_shard_context(const ShardedClusterIndex* sharded, ThreadPool* pool) noexcept {
-    sharded_ = sharded;
-    shard_pool_ = pool;
-  }
 
   /// `job` finished: free its cached budget storage. Keeps the cache's heap
   /// footprint proportional to the *running* population instead of every
@@ -82,7 +63,8 @@ class MateSelector {
   /// (0 unless the include_free_nodes option is active; the caller derives
   /// it from the reservation profile so guests never displace reservations).
   /// `guest_runtime` overrides the guest's planning duration (the runtime
-  /// predictor's estimate); <= 0 uses the user request.
+  /// predictor's estimate); <= 0 uses the user request. Throws
+  /// std::logic_error when no cluster index is attached.
   [[nodiscard]] std::optional<MatePlan> select(const Job& guest, SimTime now,
                                                double max_slowdown, int max_free_nodes = 0,
                                                SimTime guest_runtime = 0) const;
@@ -97,11 +79,6 @@ class MateSelector {
     std::uint64_t candidates_scanned = 0;      ///< jobs examined for the mate role
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
-    std::uint64_t sharded_selects = 0;         ///< selects that used the shard path
-    /// Candidates examined per shard (cumulative; sums to the sharded
-    /// selects' share of candidates_scanned) — the work-split evidence
-    /// `micro_scheduler --sd-pass --shards=` reports.
-    std::vector<std::uint64_t> shard_scanned;
   };
   [[nodiscard]] const SelectStats& stats() const noexcept { return stats_; }
 
@@ -130,9 +107,7 @@ class MateSelector {
   /// adaptive sharing ties the SharingFactor to the pairing), so they are
   /// cached per job and recomputed only when the cluster index reports a
   /// machine notification (mutation_serial — budgets read per-share core
-  /// counts below the resolution of the index's change-only version) —
-  /// the share walk (which sums node occupants per share) went from once
-  /// per select() to once per cluster mutation.
+  /// counts below the resolution of the index's change-only version).
   struct CachedBudgets {
     std::uint64_t version = 0;  ///< index mutation serial the budgets reflect
     bool valid = false;         ///< version/contents are meaningful
@@ -161,15 +136,8 @@ class MateSelector {
   [[nodiscard]] std::vector<Candidate> collect_candidates(const Job& guest, SimTime now,
                                                           double max_slowdown,
                                                           SimTime guest_runtime) const;
-  /// The sharded scan behind collect_candidates: partition the registry's
-  /// eligible-mate ids by shard, examine per shard (on the pool when one
-  /// is attached), merge in fixed shard order.
-  void collect_sharded(const Job& guest, SimTime now, double max_slowdown,
-                       SimTime quick_d0, int u_max,
-                       std::vector<Candidate>& candidates) const;
-  /// Examine one candidate (thread-safe across *distinct* jobs: writes
-  /// only the job's own budget-cache slot and `out` — counters are the
-  /// caller's responsibility, so shard tasks can run concurrently).
+  /// Examine one candidate: append it to `out` when it passes eligibility,
+  /// budget feasibility, the guest's constraints and the Eq. 2 cut-off.
   void examine_candidate(const Job& job, const Job& guest, SimTime now,
                          double max_slowdown, SimTime quick_d0, int u_max,
                          std::vector<Candidate>& out) const;
@@ -185,20 +153,15 @@ class MateSelector {
   const Machine& machine_;
   const JobRegistry& jobs_;
   const SdConfig& config_;
-  const MateRegistry* registry_ = nullptr;
+  const MateRegistry& registry_;
   const ClusterStateIndex* index_ = nullptr;
-  const ShardedClusterIndex* sharded_ = nullptr;
-  ThreadPool* shard_pool_ = nullptr;
   mutable SelectStats stats_;
   mutable ScanSummary last_scan_;
-  /// Per-shard id partitions, reused across selects (allocation reuse).
-  mutable std::vector<std::vector<JobId>> shard_mates_;
   /// Indexed by JobId; sized to the job registry at the start of a collect,
   /// so entries (and the pointers Candidates take into them) stay put for
   /// the whole select. Budgets are reused across selects and passes while
-  /// the index version is unchanged; without an index (or with adaptive
-  /// sharing, whose SharingFactor depends on the guest) every examine
-  /// refills its slot — the historical cost, bit-identical results.
+  /// the index's mutation serial is unchanged; with adaptive sharing, whose
+  /// SharingFactor depends on the guest, every examine refills its slot.
   mutable std::vector<CachedBudgets> budget_cache_;
 };
 

@@ -8,10 +8,8 @@
 
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
-#include "cluster/sharded_cluster_index.h"
 #include "core/estimator.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace sdsched {
 
@@ -37,20 +35,10 @@ SdPolicyScheduler::SdPolicyScheduler(Machine& machine, JobRegistry& jobs,
                                      SdConfig sd_config) noexcept
     : BackfillScheduler(machine, jobs, executor, sched_config),
       sd_config_(sd_config),
-      selector_(machine, jobs, sd_config_),
+      selector_(machine, jobs, sd_config_, mate_registry_),
       crosscheck_(sd_config.scan.crosscheck || sd_crosscheck_env()) {
   // Warm-start scenarios construct the scheduler against running jobs.
   mate_registry_.seed(jobs_);
-  selector_.set_mate_registry(&mate_registry_);
-}
-
-void SdPolicyScheduler::set_sharded_index(const ShardedClusterIndex* sharded) noexcept {
-  // The base forwards the flat parity surface through set_cluster_index
-  // (virtual — lands in our override above, so the selector gets it too).
-  BackfillScheduler::set_sharded_index(sharded);
-  const bool parallel = sharded != nullptr && sharded->parallel() &&
-                        sharded->shard_count() > 1;
-  selector_.set_shard_context(sharded, parallel ? &shard_worker_pool() : nullptr);
 }
 
 void SdPolicyScheduler::schedule_pass(SimTime now) {
@@ -87,9 +75,6 @@ void SdPolicyScheduler::annotate(SimulationReport& report) const {
 }
 
 double SdPolicyScheduler::pass_cutoff(SimTime now) {
-  if (cluster_index_ == nullptr) {
-    return compute_cutoff(sd_config_.cutoff, jobs_, mate_registry_.running(), now);
-  }
   const std::uint64_t serial = cluster_index_->mutation_serial();
   const std::uint64_t epoch = mate_registry_.epoch();
   if (!cutoff_cache_valid_ || cutoff_serial_ != serial || cutoff_epoch_ != epoch) {
@@ -173,10 +158,7 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
 
   // Failed-select ledger: skip the search when this guest's last failure
   // provably still stands (docs/determinism.md "Scan-ledger skip safety").
-  // The ledger needs the serial/epoch key, so it is inert without an
-  // attached cluster index (standalone schedulers re-scan every time).
-  const bool ledger_usable = sd_config_.scan.ledger && cluster_index_ != nullptr;
-  if (ledger_usable &&
+  if (sd_config_.scan.ledger &&
       scan_ledger_.can_skip(job.spec.id, cluster_index_->mutation_serial(),
                             mate_registry_.epoch(), planned, max_free_nodes, now)) {
     if (crosscheck_) {
@@ -195,7 +177,7 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
   const auto plan = selector_.select(job, now, cutoff, max_free_nodes, planned);
   if (!plan) {
     ++selection_failures_;
-    if (ledger_usable) {
+    if (sd_config_.scan.ledger) {
       GuestScanLedger::Entry entry;
       entry.serial = cluster_index_->mutation_serial();
       entry.epoch = mate_registry_.epoch();

@@ -58,12 +58,6 @@ class SdPolicyScheduler final : public BackfillScheduler {
     selector_.set_cluster_index(index);
   }
 
-  /// Forward the shard context to the MateSelector: candidate scans
-  /// partition by shard (on the shared worker pool when the config asks
-  /// for parallelism) and free-node probes ride the ordered shard merge.
-  /// Defined in sd_policy.cpp (needs the complete ShardedClusterIndex).
-  void set_sharded_index(const ShardedClusterIndex* sharded) noexcept override;
-
   void on_finish(JobId job) override {
     mate_registry_.on_finish(job);
     selector_.release_budgets(job);
@@ -101,12 +95,12 @@ class SdPolicyScheduler final : public BackfillScheduler {
 
  private:
   /// This pass's MAX_SLOWDOWN cut-off, through the one-slot (serial,
-  /// epoch) cache when a cluster index is attached.
+  /// epoch) cache.
   [[nodiscard]] double pass_cutoff(SimTime now);
 
   SdConfig sd_config_;
-  MateSelector selector_;
   MateRegistry mate_registry_;
+  MateSelector selector_;
   GuestScanLedger scan_ledger_;
   bool crosscheck_ = false;     ///< scan.crosscheck OR SDSCHED_SD_CROSSCHECK
   int guests_considered_ = 0;   ///< this pass, against scan.guest_budget

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
-#include "cluster/sharded_cluster_index.h"
 #include "util/logging.h"
 
 namespace sdsched {
@@ -21,8 +19,7 @@ void BackfillScheduler::annotate(SimulationReport& report) const {
 }
 
 int BackfillScheduler::eligible_nodes(const JobConstraints& constraints) const {
-  return cluster_index_ != nullptr ? cluster_index_->eligible_node_count(constraints)
-                                   : machine_.eligible_node_count(constraints);
+  return cluster_index_->eligible_node_count(constraints);
 }
 
 ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
@@ -31,60 +28,31 @@ ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
   class_layers_.clear();
   pass_reserves_.clear();
 
-  if (cluster_index_ != nullptr) {
 #ifdef SDSCHED_INDEX_CROSSCHECK
-    std::string diagnosis;
-    const bool consistent = sharded_index_ != nullptr
-                                ? sharded_index_->check_consistent(&diagnosis)
-                                : cluster_index_->check_consistent(&diagnosis);
-    if (!consistent) log_error("backfill", "cluster index inconsistent: ", diagnosis);
-    assert(consistent && "ClusterStateIndex diverged from the machine scan");
+  std::string diagnosis;
+  const bool consistent = cluster_index_->check_consistent(&diagnosis);
+  if (!consistent) log_error("backfill", "cluster index inconsistent: ", diagnosis);
+  assert(consistent && "ClusterStateIndex diverged from the machine scan");
 #endif
-    if (profile_valid_ && profile_version_ == cluster_index_->version() &&
-        profile_.first_release_time() > now) {
-      // Nothing changed since the last pass and no release crossed `now`:
-      // the base snapshot is still exact. Drop only the pass overlay.
-      profile_.clear_overlay();
-      ++profile_reuses_;
-      return profile_;
-    }
-    if (sharded_index_ != nullptr && sharded_index_->shard_count() > 1) {
-      // Assemble the base from the shards' release maps (ordered merge,
-      // byte-identical groups — crosschecked internally).
-      sharded_index_->busy_groups_sharded(now, scratch_groups_);
-    } else {
-      cluster_index_->busy_groups(now, scratch_groups_);
-    }
-    profile_.set_base(machine_.node_count(), now, scratch_groups_);
-    profile_version_ = cluster_index_->version();
-    profile_valid_ = true;
-    ++profile_rebuilds_;
+  if (profile_valid_ && profile_version_ == cluster_index_->version() &&
+      profile_.first_release_time() > now) {
+    // Nothing changed since the last pass and no release crossed `now`:
+    // the base snapshot is still exact. Drop only the pass overlay.
+    profile_.clear_overlay();
+    ++profile_reuses_;
     return profile_;
   }
-
-  // No index attached (standalone scheduler): full scan, exactly the
-  // historical build. A shared node frees when its *last* occupant's
-  // predicted end passes; overdue jobs are assumed imminent (now + 1).
-  std::map<SimTime, int> frees;
-  for (int id = 0; id < machine_.node_count(); ++id) {
-    const Node& node = machine_.node(id);
-    if (node.empty()) continue;
-    SimTime free_at = now + 1;
-    for (const auto& occ : node.occupants()) {
-      free_at = std::max(free_at, jobs_.at(occ.job).predicted_end);
-    }
-    ++frees[free_at];
-  }
-  scratch_groups_.assign(frees.begin(), frees.end());
+  cluster_index_->busy_groups(now, scratch_groups_);
   profile_.set_base(machine_.node_count(), now, scratch_groups_);
-  profile_valid_ = false;
+  profile_version_ = cluster_index_->version();
+  profile_valid_ = true;
   ++profile_rebuilds_;
   return profile_;
 }
 
 ReservationProfile* BackfillScheduler::class_profile(SimTime now,
                                                      const JobConstraints& constraints) {
-  if (cluster_index_ == nullptr || constraints.unconstrained()) return nullptr;
+  if (constraints.unconstrained()) return nullptr;
   const int classes = cluster_index_->class_count();
   if (classes <= 1 || classes > 64) return nullptr;  // class-blind profile is exact / no mask
   const std::uint64_t mask = cluster_index_->eligible_class_mask(constraints);
@@ -96,11 +64,7 @@ ReservationProfile* BackfillScheduler::class_profile(SimTime now,
   }
   ClassLayer layer;
   layer.mask = mask;
-  if (sharded_index_ != nullptr && sharded_index_->shard_count() > 1) {
-    sharded_index_->busy_groups_for_mask_sharded(mask, now, scratch_groups_);
-  } else {
-    cluster_index_->busy_groups_for_mask(mask, now, scratch_groups_);
-  }
+  cluster_index_->busy_groups_for_mask(mask, now, scratch_groups_);
   layer.profile.set_base(cluster_index_->node_count_for_mask(mask), now, scratch_groups_);
   // Replay what this pass reserved with no machine-state backing (the base
   // snapshot above already contains every start the pass applied — see
@@ -127,6 +91,7 @@ void BackfillScheduler::reserve_window(SimTime start, SimTime end, int nodes,
 }
 
 void BackfillScheduler::schedule_pass(SimTime now) {
+  require_cluster_index();
   if (queue_.empty()) return;
   ReservationProfile& profile = pass_profile(now);
   int reservations = 0;
@@ -165,7 +130,7 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       }
     }
     if (est == now) {
-      const auto nodes = find_free_nodes(req_nodes, job.spec.constraints);
+      const auto nodes = cluster_index_->find_free_nodes(req_nodes, &job.spec.constraints);
       if (nodes) {
         queue_.remove(id);
         reserve_window(now, now + std::max<SimTime>(planned, 1), req_nodes,
@@ -180,11 +145,10 @@ void BackfillScheduler::schedule_pass(SimTime now) {
         log_error("backfill", "profile/machine divergence for job ", id);
         continue;
       }
-      // Constrained job the counts model could not protect: with a class
-      // layer this is only reachable for contiguous requests (fragmentation
-      // is invisible to per-class counts); without an index the class-blind
-      // profile overestimated availability. Hold the nodes conservatively
-      // and retry next pass.
+      // Constrained job the counts model could not protect: only reachable
+      // for contiguous requests (fragmentation is invisible to per-class
+      // counts) and for machines with more than 64 attribute classes (no
+      // class layer). Hold the nodes conservatively and retry next pass.
       if (reservations < config_.reservation_depth) {
         reserve_window(now, now + std::max<SimTime>(planned, 1), req_nodes,
                        /*occupancy_backed=*/false);

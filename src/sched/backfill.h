@@ -2,7 +2,8 @@
 // SD-Policy).
 //
 // Every pass refreshes the reservation profile — the base snapshot comes
-// from the ClusterStateIndex and is *reused* across passes while the
+// from the attached ClusterStateIndex (a pass without one throws
+// std::logic_error) and is *reused* across passes while the
 // cluster is unchanged (O(1)); only the pass's own reservations (a small
 // overlay) are dropped and re-derived. The pass then walks the wait queue
 // in priority order:
@@ -19,9 +20,9 @@
 // the shared profile is class-blind, so a job whose constraints exclude
 // part of the machine used to see over-optimistic earliest starts and fall
 // back to a conservative hold-and-retry when the promised nodes turned out
-// ineligible. With a cluster index attached, class_profile() assembles (per
-// pass, lazily, cached per eligible-class mask) a profile over just the
-// eligible classes from the index's per-class release groups; constrained
+// ineligible. class_profile() assembles (per pass, lazily, cached per
+// eligible-class mask) a profile over just the eligible classes from the
+// index's per-class release groups; constrained
 // estimates take the max of the shared and class-restricted answers, which
 // eliminates the hold-and-retry for attribute-constrained jobs (contiguity
 // is not modelled by counts, so contiguous requests keep the fallback).
@@ -77,17 +78,17 @@ class BackfillScheduler : public Scheduler {
 
   /// The pass profile: base snapshot refreshed only when the cluster index
   /// reports a change (or a release breakpoint crossed `now`), overlay
-  /// cleared. Without an index, falls back to the full machine scan.
+  /// cleared.
   [[nodiscard]] ReservationProfile& pass_profile(SimTime now);
 
-  /// Eligible-node count for constraint filtering: O(attribute classes)
-  /// through the index, O(nodes) through the machine without one.
+  /// Eligible-node count for constraint filtering: O(attribute classes).
   [[nodiscard]] int eligible_nodes(const JobConstraints& constraints) const;
 
   /// The per-pass profile layer restricted to `constraints`' eligible
   /// attribute classes, or nullptr when the class-blind profile is already
   /// exact (unconstrained request, single-class machine, attribute filters
-  /// matching every class) or no index is attached. Built lazily once per
+  /// matching every class) or the machine has more than 64 attribute
+  /// classes. Built lazily once per
   /// (pass, eligible-class mask) with this pass's reservations replayed.
   /// The pointer is invalidated by the next class_profile() call.
   [[nodiscard]] ReservationProfile* class_profile(SimTime now,

@@ -5,7 +5,7 @@
 //
 //  * a **base snapshot** — flat, sorted, cumulative free-count breakpoints
 //    describing the running jobs' predicted releases. Installed via
-//    set_base() from the ClusterStateIndex (or a full scan) and *reused*
+//    set_base() from the ClusterStateIndex and *reused*
 //    across passes while the cluster is unchanged;
 //  * a **pass overlay** — a small sorted delta vector holding only the
 //    reservations the current pass itself places (reserve()/release()).

@@ -1,23 +1,15 @@
 #include "sched/scheduler.h"
 
-#include "cluster/cluster_state_index.h"
-#include "cluster/sharded_cluster_index.h"
+#include <stdexcept>
+#include <string>
 
 namespace sdsched {
 
-void Scheduler::set_sharded_index(const ShardedClusterIndex* sharded) noexcept {
-  sharded_index_ = sharded;
-  set_cluster_index(sharded != nullptr ? &sharded->flat() : nullptr);
-}
-
-std::optional<std::vector<int>> Scheduler::find_free_nodes(
-    int count, const JobConstraints& constraints) const {
-  if (sharded_index_ != nullptr && sharded_index_->shard_count() > 1) {
-    // Ordered shard merge — byte-identical to the flat pick (crosschecked
-    // internally under SDSCHED_INDEX_CROSSCHECK).
-    return sharded_index_->find_free_nodes(count, &constraints);
+void Scheduler::require_cluster_index() const {
+  if (cluster_index_ == nullptr) {
+    throw std::logic_error(std::string(name()) +
+                           ": schedule_pass needs a cluster index (set_cluster_index)");
   }
-  return pick_free_nodes(machine_, cluster_index_, count, &constraints);
 }
 
 }  // namespace sdsched

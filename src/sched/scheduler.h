@@ -21,7 +21,6 @@
 namespace sdsched {
 
 class ClusterStateIndex;
-class ShardedClusterIndex;
 struct SimulationReport;
 
 /// A fully costed malleable co-scheduling decision (MateSelector output).
@@ -93,24 +92,16 @@ class Scheduler {
     predictor_ = predictor;
   }
 
-  /// Install the event-driven cluster index. With it, profile bases are
-  /// incremental snapshots, constraint filtering is O(attribute classes)
-  /// and free-node picks go through the class-partitioned free-run index;
-  /// without it (standalone schedulers in unit tests), passes fall back to
-  /// the full machine scan. Virtual so policies can forward the index to
-  /// the components they own (SD-Policy hands it to its MateSelector).
+  /// Install the event-driven cluster index — the one view of cluster
+  /// state every pass reads: profile bases are incremental snapshots,
+  /// constraint filtering is O(attribute classes) and free-node picks go
+  /// through the class-partitioned bitmap. schedule_pass throws
+  /// std::logic_error until one is attached. Virtual so policies can
+  /// forward the index to the components they own (SD-Policy hands it to
+  /// its MateSelector).
   virtual void set_cluster_index(const ClusterStateIndex* index) noexcept {
     cluster_index_ = index;
   }
-
-  /// Install the sharded coordinator (api/Simulation with a ShardConfig).
-  /// Also installs its flat parity surface as the cluster index, so every
-  /// flat-index fast path keeps working; free-node picks and profile bases
-  /// additionally route through the deterministic ordered shard merge when
-  /// more than one shard exists. Virtual for the same forwarding reason as
-  /// set_cluster_index (SD-Policy hands the shard context to its
-  /// MateSelector). Defined in scheduler.cpp (needs the complete type).
-  virtual void set_sharded_index(const ShardedClusterIndex* sharded) noexcept;
 
   /// The scheduler's working estimate of a job's duration: the user request,
   /// or the predictor's refinement when one is installed.
@@ -125,12 +116,9 @@ class Scheduler {
   /// with on_finish(), it sees every running-set transition.
   virtual void on_job_started(JobId /*job*/) {}
 
-  /// Free-node picking: popcount/ctz word scans through the class-
-  /// partitioned bitmap index when one is attached, the ordered machine
-  /// scan otherwise. Identical node ids either way (cross-checked per call
-  /// under SDSCHED_INDEX_CROSSCHECK).
-  [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
-      int count, const JobConstraints& constraints) const;
+  /// Throws std::logic_error unless a cluster index is attached. Every
+  /// schedule_pass calls it first; the pass then reads cluster_index_.
+  void require_cluster_index() const;
 
   /// Queue view in scheduling order under the configured priority. Cached
   /// inside the WaitQueue: rebuilt only after a push/remove (or, for
@@ -143,7 +131,6 @@ class Scheduler {
 
   const RuntimePredictor* predictor_ = nullptr;
   const ClusterStateIndex* cluster_index_ = nullptr;
-  const ShardedClusterIndex* sharded_index_ = nullptr;
   Machine& machine_;
   JobRegistry& jobs_;
   StartExecutor& executor_;

@@ -27,14 +27,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-ThreadPool& shard_worker_pool() {
-  // Meyers singleton: constructed on first sharded-parallel pass, torn
-  // down (draining) at process exit. Sized to the hardware regardless of
-  // how many sweeps or simulations are in flight.
-  static ThreadPool pool(ThreadPool::default_concurrency());
-  return pool;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -68,16 +68,4 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// The process-wide shared pool for *intra-pass* shard fan-out (sharded
-/// candidate scans, ShardConfig::parallel). One pool, sized to the
-/// hardware, shared by every Simulation in the process — the
-/// oversubscription clamp: a SweepRunner at --jobs=N runs its cells on its
-/// own pool, and however many of those cells shard in parallel, their
-/// per-shard tasks all drain through these hardware_concurrency() workers
-/// instead of spawning N nested pools (docs/bench-format.md "Nested
-/// parallelism"). No deadlock by construction: shard tasks are leaves —
-/// they never submit to any pool — so the cell thread blocking on their
-/// futures always makes progress. Lives until process exit.
-[[nodiscard]] ThreadPool& shard_worker_pool();
-
 }  // namespace sdsched

@@ -100,28 +100,6 @@ TEST(SweepRunner, CellSeedIsDeterministicDistinctAndNonZero) {
   EXPECT_EQ(seen.size(), 3u * 64u);  // no collisions across bases/indices
 }
 
-TEST(SweepRunner, ShardedCellsNestInsideSweepWorkers) {
-  // Nested parallelism (docs/bench-format.md "Nested parallelism"): sweep
-  // workers running sharded-parallel simulations all lean on the ONE
-  // process-wide shard_worker_pool(), so total threads stay clamped at
-  // sweep jobs + hardware_concurrency regardless of cell count. Shard
-  // tasks are leaves (they never submit), so no deadlock — and the
-  // decisions must stay byte-identical to flat serial cells. This test is
-  // part of the TSan preset's thread battery.
-  auto cells = w1_grid(0.02);
-  auto sharded_cells = cells;
-  for (auto& cell : sharded_cells) {
-    cell.config.shards = ShardConfig{4, true};
-  }
-  const auto flat = SweepRunner(1).run(cells);
-  const auto nested = SweepRunner(8).run(sharded_cells);
-  ASSERT_EQ(nested.size(), flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(flat[i].report.json(), nested[i].report.json()) << cells[i].name;
-    EXPECT_TRUE(flat[i].report.records == nested[i].report.records) << cells[i].name;
-  }
-}
-
 TEST(SweepRunner, RunSingleAndCompareStillAgree) {
   // compare() now runs both cells through the runner; its normalized view
   // must match hand-normalizing two run_single() calls.

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "drom/node_manager.h"
@@ -15,14 +17,38 @@
 namespace sdsched {
 namespace {
 
+/// 12 nodes, the last four a highmem block.
+MachineConfig block_machine() {
+  MachineConfig mc;
+  mc.nodes = 12;
+  mc.node = NodeConfig{2, 4};  // 8 cores per node keeps plans interesting
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  for (int id = 8; id < 12; ++id) mc.attribute_overrides.emplace_back(id, highmem);
+  return mc;
+}
+
+/// `nodes` nodes with three attribute classes interleaved across the id
+/// space, so constrained picks and per-class release maps span every
+/// bitmap word — including a partly used last word when `nodes` is not a
+/// multiple of 64.
+MachineConfig interleaved_machine(int nodes) {
+  MachineConfig mc;
+  mc.nodes = nodes;
+  mc.node = NodeConfig{2, 4};
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  NodeAttributes fastnet;
+  fastnet.network = "ib";
+  for (int id = 0; id < nodes; ++id) {
+    if (id % 5 == 1) mc.attribute_overrides.emplace_back(id, highmem);
+    if (id % 5 == 3) mc.attribute_overrides.emplace_back(id, fastnet);
+  }
+  return mc;
+}
+
 struct Cluster {
-  Cluster() {
-    MachineConfig mc;
-    mc.nodes = 12;
-    mc.node = NodeConfig{2, 4};  // 8 cores per node keeps plans interesting
-    NodeAttributes highmem;
-    highmem.memory_gb = 384;
-    for (int id = 8; id < 12; ++id) mc.attribute_overrides.emplace_back(id, highmem);
+  explicit Cluster(const MachineConfig& mc = block_machine()) {
     machine.emplace(mc);
     index.emplace(*machine, jobs);
   }
@@ -63,6 +89,88 @@ std::map<SimTime, int> scan_groups(const Machine& machine, const JobRegistry& jo
     ++frees[free_at];
   }
   return frees;
+}
+
+/// scan_groups() restricted to nodes satisfying `constraints`.
+std::map<SimTime, int> scan_groups_for(const Machine& machine, const JobRegistry& jobs,
+                                       const JobConstraints& constraints, SimTime now) {
+  std::map<SimTime, int> frees;
+  for (int id = 0; id < machine.node_count(); ++id) {
+    const Node& node = machine.node(id);
+    if (node.empty() || !node_satisfies(node.attributes(), constraints)) continue;
+    SimTime free_at = now + 1;
+    for (const auto& occ : node.occupants()) {
+      free_at = std::max(free_at, jobs.at(occ.job).predicted_end);
+    }
+    ++frees[free_at];
+  }
+  return frees;
+}
+
+std::uint64_t xorshift(std::uint64_t& state, std::uint64_t bound) {
+  state ^= state << 13;
+  state ^= state >> 7;
+  state ^= state << 17;
+  return state % bound;
+}
+
+/// `want` distinct free nodes sampled at random (lowest-first picks would
+/// leave the high words untouched), or empty when the sample falls short.
+std::vector<int> random_free_nodes(const Machine& machine, std::uint64_t& state, int want) {
+  std::vector<int> out;
+  int tries = 0;
+  while (static_cast<int>(out.size()) < want && tries++ < 400) {
+    const int id =
+        static_cast<int>(xorshift(state, static_cast<std::uint64_t>(machine.node_count())));
+    if (!machine.node(id).empty()) continue;
+    if (std::find(out.begin(), out.end(), id) != out.end()) continue;
+    out.push_back(id);
+  }
+  if (static_cast<int>(out.size()) < want) out.clear();
+  return out;
+}
+
+/// Every index answer against its brute-force counterpart at `now`.
+void expect_matches_brute_force(const Cluster& c, SimTime now, std::uint64_t& state) {
+  const ClusterStateIndex& index = *c.index;
+  const Machine& machine = *c.machine;
+  std::string diag;
+  ASSERT_TRUE(index.check_consistent(&diag)) << diag;
+
+  // busy_groups must reproduce the historical full scan, clamp included.
+  std::vector<std::pair<SimTime, int>> groups;
+  index.busy_groups(now, groups);
+  using Groups = std::map<SimTime, int>;
+  ASSERT_EQ(Groups(groups.begin(), groups.end()), scan_groups(machine, c.jobs, now));
+  ASSERT_TRUE(std::is_sorted(groups.begin(), groups.end()));
+
+  JobConstraints highmem;
+  highmem.min_memory_gb = 128;
+  JobConstraints fastnet;
+  fastnet.required_network = "ib";
+  JobConstraints contiguous;
+  contiguous.contiguous = true;
+  for (const JobConstraints* constraints : {&highmem, &fastnet}) {
+    ASSERT_EQ(index.eligible_node_count(*constraints),
+              machine.eligible_node_count(*constraints));
+    if (index.class_count() <= 64) {
+      index.busy_groups_for_mask(index.eligible_class_mask(*constraints), now, groups);
+      ASSERT_EQ(Groups(groups.begin(), groups.end()),
+                scan_groups_for(machine, c.jobs, *constraints, now));
+    }
+  }
+
+  const int nodes = machine.node_count();
+  const int probes[] = {1, 2, 1 + static_cast<int>(xorshift(state, 8)), std::max(1, nodes / 3),
+                        nodes};
+  for (const int count : probes) {
+    ASSERT_EQ(index.find_free_nodes(count), machine.find_free_nodes(count)) << count;
+    for (const JobConstraints* constraints : {&highmem, &fastnet, &contiguous}) {
+      ASSERT_EQ(index.find_free_nodes(count, constraints),
+                machine.find_free_nodes(count, constraints))
+          << count;
+    }
+  }
 }
 
 TEST(ClusterStateIndex, EmptyMachineIsConsistent) {
@@ -135,51 +243,53 @@ TEST(ClusterStateIndex, BusyGroupsClampOverdueOccupants) {
   EXPECT_EQ(got, expect);
 }
 
-TEST(ClusterStateIndex, RandomizedLifecycleMatchesBruteForce) {
-  Cluster c;
+/// Random start/finish/guest/stretch churn on one machine, every answer
+/// checked against brute force after every step; then the machine drains
+/// to empty, fills node by node, and drains again.
+void random_lifecycle(const MachineConfig& mc, int steps) {
+  Cluster c(mc);
   NodeManager mgr(*c.machine, c.jobs, c.drom);
-  std::uint64_t state = 0x2545f4914f6cdd1dULL;
-  const auto rnd = [&state](std::uint64_t bound) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state % bound;
+  std::uint64_t state = 0x2545f4914f6cdd1dULL ^ static_cast<std::uint64_t>(mc.nodes);
+  const auto finish = [&](JobId id, SimTime now) {
+    c.jobs.at(id).state = JobState::Completed;
+    c.jobs.at(id).end_time = now;
+    mgr.finish_job(now, id);
   };
 
   SimTime now = 0;
-  std::string diag;
-  for (int step = 0; step < 400; ++step) {
-    now += static_cast<SimTime>(rnd(20));
-    const std::uint64_t op = rnd(10);
+  for (int step = 0; step < steps; ++step) {
+    now += static_cast<SimTime>(xorshift(state, 20));
+    const std::uint64_t op = xorshift(state, 10);
     if (op < 4) {
-      // Static start on random free nodes.
-      const int want = 1 + static_cast<int>(rnd(3));
-      const auto nodes = c.machine->find_free_nodes(want);
-      if (nodes) {
-        const JobId id = c.add_running(now, want, 10 + static_cast<SimTime>(rnd(300)));
-        mgr.start_static(now, id, *nodes);
+      // Static start on scattered free nodes.
+      const int want = 1 + static_cast<int>(xorshift(state, 3));
+      const auto nodes = random_free_nodes(*c.machine, state, want);
+      if (!nodes.empty()) {
+        const JobId id =
+            c.add_running(now, want, 10 + static_cast<SimTime>(xorshift(state, 300)));
+        mgr.start_static(now, id, nodes);
         c.running.push_back(id);
       }
     } else if (op < 6 && !c.running.empty()) {
       // Finish a random running job (owners leaving early expand survivors
       // through resize_share — the §4.3 unbalance path).
-      const std::size_t pick = rnd(c.running.size());
+      const std::size_t pick = xorshift(state, c.running.size());
       const JobId id = c.running[pick];
       c.running.erase(c.running.begin() + static_cast<std::ptrdiff_t>(pick));
-      c.jobs.at(id).state = JobState::Completed;
-      c.jobs.at(id).end_time = now;
-      mgr.finish_job(now, id);
+      finish(id, now);
     } else if (op < 8 && !c.running.empty()) {
-      // Malleable guest start: shrink one mate on one of its nodes.
-      const JobId mate_id = c.running[rnd(c.running.size())];
+      // Malleable guest start: shrink one mate on one of its nodes (free_at
+      // moves without an emptiness flip).
+      const JobId mate_id = c.running[xorshift(state, c.running.size())];
       const Job& mate_view = c.jobs.at(mate_id);
       if (!mate_view.malleable() || mate_view.shares.empty()) continue;
-      const NodeShare share = mate_view.shares[rnd(mate_view.shares.size())];
+      const NodeShare share = mate_view.shares[xorshift(state, mate_view.shares.size())];
       if (share.cpus < 2) continue;
-      const int give = 1 + static_cast<int>(rnd(static_cast<std::uint64_t>(share.cpus) - 1));
+      const int give =
+          1 + static_cast<int>(xorshift(state, static_cast<std::uint64_t>(share.cpus) - 1));
       // add_running may grow the registry: re-fetch the mate afterwards.
       const JobId guest_id =
-          c.add_running(now, 1, 10 + static_cast<SimTime>(rnd(200)));
+          c.add_running(now, 1, 10 + static_cast<SimTime>(xorshift(state, 200)));
       SharePlan plan;
       plan.node = share.node;
       plan.mate = mate_id;
@@ -188,32 +298,55 @@ TEST(ClusterStateIndex, RandomizedLifecycleMatchesBruteForce) {
       plan.guest_static_cpus = give;
       // Kernel order: stretch the mate's predicted end, notify, then the
       // node-level shrink + placement.
-      c.jobs.at(mate_id).predicted_end += static_cast<SimTime>(rnd(100));
+      c.jobs.at(mate_id).predicted_end += static_cast<SimTime>(xorshift(state, 100));
       c.index->on_predicted_end_changed(mate_id);
       mgr.start_guest(now, guest_id, {plan});
       c.running.push_back(guest_id);
     } else if (!c.running.empty()) {
       // Pure reconfigure: a mate stretch with no placement attached.
-      const JobId id = c.running[rnd(c.running.size())];
-      c.jobs.at(id).predicted_end += static_cast<SimTime>(rnd(50));
+      const JobId id = c.running[xorshift(state, c.running.size())];
+      c.jobs.at(id).predicted_end += static_cast<SimTime>(xorshift(state, 50));
       c.index->on_predicted_end_changed(id);
     }
-
-    ASSERT_TRUE(c.index->check_consistent(&diag)) << "step " << step << ": " << diag;
-
-    // busy_groups must reproduce the historical full scan, clamp included.
-    std::vector<std::pair<SimTime, int>> groups;
-    c.index->busy_groups(now, groups);
-    const std::map<SimTime, int> got(groups.begin(), groups.end());
-    ASSERT_EQ(got, scan_groups(*c.machine, c.jobs, now)) << "step " << step;
-    ASSERT_TRUE(std::is_sorted(groups.begin(), groups.end())) << "step " << step;
-
-    JobConstraints highmem;
-    highmem.min_memory_gb = 128;
-    ASSERT_EQ(c.index->eligible_node_count(highmem),
-              c.machine->eligible_node_count(highmem));
+    SCOPED_TRACE(testing::Message() << mc.nodes << " nodes, step " << step);
+    expect_matches_brute_force(c, now, state);
+    if (testing::Test::HasFatalFailure()) return;
   }
   EXPECT_FALSE(c.running.empty());  // the walk actually exercised occupancy
+
+  // Drain to empty, fill every node, drain again.
+  const auto drain = [&] {
+    for (const JobId id : c.running) finish(id, now);
+    c.running.clear();
+    ASSERT_EQ(c.machine->free_node_count(), mc.nodes);
+    ASSERT_EQ(c.index->occupied_node_count(), 0);
+    std::vector<std::pair<SimTime, int>> groups;
+    c.index->busy_groups(now, groups);
+    ASSERT_TRUE(groups.empty());
+    expect_matches_brute_force(c, now, state);
+  };
+  SCOPED_TRACE(testing::Message() << mc.nodes << " nodes, drain/refill");
+  drain();
+  for (int id = 0; id < mc.nodes; ++id) {
+    const JobId job = c.add_running(now, 1, 100 + id);
+    mgr.start_static(now, job, {id});
+    c.running.push_back(job);
+  }
+  ASSERT_EQ(c.machine->free_node_count(), 0);
+  ASSERT_EQ(c.index->occupied_node_count(), mc.nodes);
+  ASSERT_FALSE(c.index->find_free_nodes(1).has_value());
+  expect_matches_brute_force(c, now, state);
+  now += 50;
+  drain();
+}
+
+TEST(ClusterStateIndex, RandomizedLifecycleMatchesBruteForce) {
+  random_lifecycle(block_machine(), 400);
+  // 5 and 65 nodes leave the last bitmap word partly used; 5040 is Curie.
+  random_lifecycle(interleaved_machine(5), 120);
+  random_lifecycle(interleaved_machine(65), 120);
+  random_lifecycle(interleaved_machine(5040), 60);
+  random_lifecycle(interleaved_machine(50000), 10);
 }
 
 }  // namespace

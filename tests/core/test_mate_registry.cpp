@@ -1,7 +1,8 @@
 // The MateRegistry must mirror a brute-force job-table scan through the
-// whole lifecycle (starts, guest starts, finishes), and a registry-backed
-// MateSelector must make the *identical* decisions the full-scan selector
-// makes — the parity contract behind the SD hot-path speedup.
+// whole lifecycle (starts, guest starts, finishes), and a selector over the
+// incrementally maintained registry (with its budget cache warm across
+// mutations) must make the *identical* decisions a fresh selector over a
+// freshly seed()ed registry makes.
 #include "core/mate_registry.h"
 
 #include <gtest/gtest.h>
@@ -85,9 +86,21 @@ TEST(MateRegistry, CheckConsistentCatchesAMissedStart) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: registry-backed selection == full-scan selection over a recorded
+// Parity: incremental selection == freshly seeded selection over a recorded
 // random lifecycle.
 // ---------------------------------------------------------------------------
+
+/// The reference answer: a fresh selector (cold budget cache) over a
+/// registry seed()ed from the job table at query time.
+std::optional<MatePlan> seeded_select(const Machine& machine, const JobRegistry& jobs,
+                                      const ClusterStateIndex& index, const SdConfig& sd,
+                                      const Job& guest, SimTime now, double cutoff) {
+  MateRegistry seeded;
+  seeded.seed(jobs);
+  MateSelector selector(machine, jobs, sd, seeded);
+  selector.set_cluster_index(&index);
+  return selector.select(guest, now, cutoff);
+}
 
 bool plans_equal(const std::optional<MatePlan>& a, const std::optional<MatePlan>& b) {
   if (a.has_value() != b.has_value()) return false;
@@ -127,9 +140,7 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
 
   SdConfig sd;
   sd.max_jobs_per_node = 3;  // keep M mate-eligible while it hosts G
-  MateSelector full_scan(machine, jobs, sd);
-  MateSelector indexed(machine, jobs, sd);
-  indexed.set_mate_registry(&registry);
+  MateSelector indexed(machine, jobs, sd, registry);
   indexed.set_cluster_index(&index);
 
   // Mate M on node 0, predicted end 10000.
@@ -150,7 +161,7 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
   const JobId probe1 = jobs.add(spec_of(10, 50, 1, 48));
   const std::uint64_t version_before = index.version();
   EXPECT_FALSE(indexed.select(jobs.at(probe1), 10, kInf).has_value());
-  EXPECT_FALSE(full_scan.select(jobs.at(probe1), 10, kInf).has_value());
+  EXPECT_FALSE(seeded_select(machine, jobs, index, sd, jobs.at(probe1), 10, kInf).has_value());
 
   // G finishes: node 0's free_at stays at M's end (no version bump), but
   // M expands back to its full static split. (Re-fetch G: the adds above
@@ -161,12 +172,13 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
   registry.on_finish(g);
   EXPECT_EQ(index.version(), version_before);  // below the version's resolution
 
-  // Both selectors must now see the expanded mate and agree on the plan.
+  // The warm selector must now see the expanded mate and agree with a cold
+  // one on the plan.
   const JobId probe2 = jobs.add(spec_of(200, 50, 1, 48));
-  const auto scan_plan = full_scan.select(jobs.at(probe2), 200, kInf);
+  const auto seeded_plan = seeded_select(machine, jobs, index, sd, jobs.at(probe2), 200, kInf);
   const auto indexed_plan = indexed.select(jobs.at(probe2), 200, kInf);
-  ASSERT_TRUE(scan_plan.has_value());
-  ASSERT_TRUE(plans_equal(scan_plan, indexed_plan));
+  ASSERT_TRUE(seeded_plan.has_value());
+  ASSERT_TRUE(plans_equal(seeded_plan, indexed_plan));
 }
 
 TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
@@ -181,9 +193,7 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
   MateRegistry registry;
 
   SdConfig sd;
-  MateSelector full_scan(machine, jobs, sd);  // historical path: no registry/index
-  MateSelector indexed(machine, jobs, sd);
-  indexed.set_mate_registry(&registry);
+  MateSelector indexed(machine, jobs, sd, registry);
   indexed.set_cluster_index(&index);
 
   std::uint64_t state = 0x2545f4914f6cdd1dULL;
@@ -229,12 +239,12 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
       mgr.finish_job(now, id);
       registry.on_finish(id);
     } else if (!running.empty()) {
-      // Guest start through the selector itself: take the full-scan plan
-      // (parity with the indexed one is asserted below) and apply it.
+      // Guest start through the selector itself: take the reference plan
+      // (parity with the incremental one is asserted below) and apply it.
       const JobId guest_id =
           add_pending(now, 1 + static_cast<int>(rnd(2)), 20 + static_cast<SimTime>(rnd(60)));
       Job& guest = jobs.at(guest_id);
-      const auto plan = full_scan.select(guest, now, kInf);
+      const auto plan = seeded_select(machine, jobs, index, sd, guest, now, kInf);
       if (plan) {
         guest.state = JobState::Running;
         guest.start_time = now;
@@ -253,13 +263,17 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
     }
 
     ASSERT_TRUE(registry.check_consistent(jobs, &diag)) << "step " << step << ": " << diag;
+    MateRegistry seeded;
+    seeded.seed(jobs);
+    ASSERT_EQ(registry.running(), seeded.running()) << "step " << step;
+    ASSERT_EQ(registry.mates(), seeded.mates()) << "step " << step;
 
     // Probe guests of several shapes: both selectors must agree exactly.
     for (const int req_nodes : {1, 2, 3}) {
       const JobId probe = add_pending(now, req_nodes, 30);
       const Job& guest = jobs.at(probe);
       for (const double cutoff : {kInf, 5.0}) {
-        const auto a = full_scan.select(guest, now, cutoff);
+        const auto a = seeded_select(machine, jobs, index, sd, guest, now, cutoff);
         const auto b = indexed.select(guest, now, cutoff);
         ASSERT_TRUE(plans_equal(a, b))
             << "step " << step << " req_nodes " << req_nodes << " cutoff " << cutoff;

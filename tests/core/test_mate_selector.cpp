@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
+#include "cluster/cluster_state_index.h"
+#include "core/mate_registry.h"
 #include "drom/node_manager.h"
 
 namespace sdsched {
@@ -14,7 +17,23 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 class MateSelectorTest : public ::testing::Test {
  protected:
   MateSelectorTest()
-      : machine_(make_config()), mgr_(machine_, jobs_, drom_), selector_(machine_, jobs_, sd_) {}
+      : machine_(make_config()),
+        index_(machine_, jobs_),
+        mgr_(machine_, jobs_, drom_),
+        selector_(selector_for(sd_)) {}
+
+  /// A selector over the fixture's registry and index.
+  MateSelector selector_for(const SdConfig& config) {
+    MateSelector selector(machine_, jobs_, config, registry_);
+    selector.set_cluster_index(&index_);
+    return selector;
+  }
+
+  /// Mark `id` running and tell the registry (the scheduler's start hook).
+  void mark_running(JobId id) {
+    jobs_.at(id).state = JobState::Running;
+    registry_.on_start(jobs_.at(id));
+  }
 
   static MachineConfig make_config() {
     MachineConfig config;
@@ -33,9 +52,9 @@ class MateSelectorTest : public ::testing::Test {
     spec.req_nodes = nodes;
     const JobId id = jobs_.add(spec);
     Job& job = jobs_.at(id);
-    job.state = JobState::Running;
     job.start_time = start;
     job.predicted_end = start + req_time;
+    mark_running(id);
     const auto free = machine_.find_free_nodes(nodes);
     mgr_.start_static(start, id, *free);
     return id;
@@ -55,9 +74,11 @@ class MateSelectorTest : public ::testing::Test {
 
   Machine machine_;
   JobRegistry jobs_;
+  ClusterStateIndex index_;
   DromRegistry drom_;
   NodeManager mgr_;
   SdConfig sd_;
+  MateRegistry registry_;
   MateSelector selector_;
 };
 
@@ -107,7 +128,7 @@ TEST_F(MateSelectorTest, MaxMatesLimitsCombination) {
 
   SdConfig wide = sd_;
   wide.max_mates = 3;
-  MateSelector wide_selector(machine_, jobs_, wide);
+  const MateSelector wide_selector = selector_for(wide);
   EXPECT_TRUE(wide_selector.select(guest, 0, kInf).has_value());
 }
 
@@ -146,9 +167,8 @@ TEST_F(MateSelectorTest, RigidJobsAreNotMates) {
   spec.req_nodes = 2;
   spec.malleability = MalleabilityClass::Rigid;
   const JobId id = jobs_.add(spec);
-  Job& job = jobs_.at(id);
-  job.state = JobState::Running;
-  job.predicted_end = 10000;
+  jobs_.at(id).predicted_end = 10000;
+  mark_running(id);
   mgr_.start_static(0, id, *machine_.find_free_nodes(2));
 
   Job& guest = pending_guest(2, 100);
@@ -179,9 +199,8 @@ TEST_F(MateSelectorTest, RankFloorBlocksOverShrink) {
   spec.req_nodes = 2;
   spec.ranks_per_node = 30;
   const JobId id = jobs_.add(spec);
-  Job& mate = jobs_.at(id);
-  mate.state = JobState::Running;
-  mate.predicted_end = 10000;
+  jobs_.at(id).predicted_end = 10000;
+  mark_running(id);
   mgr_.start_static(0, id, *machine_.find_free_nodes(2));
 
   Job& guest = pending_guest(2, 100);
@@ -208,7 +227,7 @@ TEST_F(MateSelectorTest, MinimizesPerformanceImpactAcrossCombinations) {
 TEST_F(MateSelectorTest, FreeNodesReduceMateCount) {
   SdConfig with_free = sd_;
   with_free.include_free_nodes = true;
-  MateSelector free_selector(machine_, jobs_, with_free);
+  const MateSelector free_selector = selector_for(with_free);
 
   run_mate(2, 0, 10000);  // leaves 6 nodes free
   Job& guest = pending_guest(3, 500);
@@ -237,6 +256,12 @@ TEST_F(MateSelectorTest, GuestIncreaseUsesWorstCaseRate) {
   // Mate increase: (1 - 0.5) * guest_duration = 700.
   ASSERT_EQ(plan->mate_increases.size(), 1u);
   EXPECT_EQ(plan->mate_increases[0], 700);
+}
+
+TEST_F(MateSelectorTest, SelectWithoutClusterIndexThrows) {
+  run_mate(2, 0, 10000);
+  const MateSelector detached(machine_, jobs_, sd_, registry_);
+  EXPECT_THROW((void)detached.select(pending_guest(2, 100), 0, kInf), std::logic_error);
 }
 
 TEST_F(MateSelectorTest, PendingJobsNeverSelected) {

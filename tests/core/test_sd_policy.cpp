@@ -17,7 +17,9 @@ class SdPolicyTest : public ::testing::Test {
       : machine_(make_config()),
         mgr_(machine_, jobs_, drom_),
         executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, SchedConfig{}, permissive()) {}
+        sched_(machine_, jobs_, executor_, SchedConfig{}, permissive()) {
+    sched_.set_cluster_index(&executor_.index);
+  }
 
   // Unit tests exercise the mechanics with an unbounded cut-off; DynAVGSD's
   // filtering (which needs a populated machine to admit anyone) has its own
@@ -175,6 +177,7 @@ TEST_F(SdPolicyTest, StaticCutoffBlocksHighPenaltyPlans) {
   SdConfig strict;
   strict.cutoff = CutoffConfig::max_sd(1.05);  // mates must be near-unharmed
   SdPolicyScheduler tight(machine_, jobs_, executor_, SchedConfig{}, strict);
+  tight.set_cluster_index(&executor_.index);
   const JobId a = jobs_.add(spec_of(0, 100000, 100000, 96, 48));
   tight.on_submit(a);
   const JobId a2 = jobs_.add(spec_of(0, 100000, 100000, 96, 48));
@@ -203,6 +206,7 @@ TEST_F(SdPolicyTest, DynAvgSdIsConservativeOnLoneMate) {
   SdConfig dynamic;
   dynamic.cutoff = CutoffConfig::dynamic_avg();
   SdPolicyScheduler dyn(machine_, jobs_, executor_, SchedConfig{}, dynamic);
+  dyn.set_cluster_index(&executor_.index);
   const JobId a = jobs_.add(spec_of(0, 10000, 10000, 192, 48));
   dyn.on_submit(a);
   dyn.schedule_pass(0);

@@ -25,10 +25,8 @@ namespace {
 
 constexpr const char* kGoldenRelPath = "/golden/w1_grid.golden.json";
 
-/// The canonical parity document for the W1 default grid. `shards`
-/// re-runs the identical grid on the sharded index — the document must
-/// not change (the golden is pinned at every shard count).
-std::string run_w1_grid_document(ShardConfig shards = {}) {
+/// The canonical parity document for the W1 default grid.
+std::string run_w1_grid_document() {
   const PaperWorkload pw = paper_workload(1, /*scale=*/0.1, /*seed=*/0);
 
   JsonWriter json;
@@ -38,9 +36,7 @@ std::string run_w1_grid_document(ShardConfig shards = {}) {
   json.key("cells");
   json.begin_array();
 
-  const auto emit_cell = [&json, &pw, shards](const std::string& name,
-                                              SimulationConfig cfg) {
-    cfg.shards = shards;
+  const auto emit_cell = [&json, &pw](const std::string& name, const SimulationConfig& cfg) {
     const SimulationReport report = Simulation(cfg, pw.workload).run();
     json.begin_object();
     json.field("name", name);
@@ -68,19 +64,6 @@ TEST(GoldenParity, W1DefaultGridMatchesPreRefactorGolden) {
       "metric summaries must stay byte-identical across scheduler-state "
       "refactors; if this PR intends to change scheduling decisions, "
       "regenerate with SDSCHED_UPDATE_GOLDEN=1 and justify the diff.");
-}
-
-// The sharded index is a pure work-splitting transform: the SAME golden
-// file must hold at every shard count, parallel fan-out included
-// (docs/determinism.md "Ordered shard merge").
-TEST(GoldenParity, W1GridShardedMatchesSameGolden) {
-  for (const int shards : {4, 64}) {
-    golden::expect_matches_golden(
-        run_w1_grid_document(ShardConfig{shards, /*parallel=*/true}), kGoldenRelPath,
-        "sharded W1 grid diverged from the flat golden — the ordered shard "
-        "merge changed a scheduling decision, which the sharding contract "
-        "forbids at any shard count.");
-  }
 }
 
 }  // namespace

@@ -29,10 +29,8 @@ namespace {
 constexpr const char* kGoldenRelPath = "/golden/curie_trace.golden.json";
 constexpr const char* kSaturatedGoldenRelPath = "/golden/curie_saturated.golden.json";
 
-/// The bundled-fixture slice document, optionally on the sharded index —
-/// the sharding contract pins the same golden at every shard count.
-std::string curie_slice_document(ShardConfig shards, std::uint64_t* backfill_coalesced,
-                                 std::uint64_t* sd_guests) {
+/// The bundled-fixture slice document.
+std::string curie_slice_document(std::uint64_t& backfill_coalesced, std::uint64_t& sd_guests) {
   const PaperWorkload pw = trace_workload("curie", /*scale=*/0.5);
   EXPECT_GT(pw.workload.size(), 0u);
   EXPECT_EQ(pw.machine.nodes, 5040) << "Curie fixture must keep the full machine";
@@ -45,15 +43,10 @@ std::string curie_slice_document(ShardConfig shards, std::uint64_t* backfill_coa
   json.key("cells");
   json.begin_array();
 
-  const auto emit_cell = [&](const std::string& name, SimulationConfig cfg) {
-    cfg.shards = shards;
+  const auto emit_cell = [&](const std::string& name, const SimulationConfig& cfg) {
     const SimulationReport report = Simulation(cfg, pw.workload).run();
-    if (cfg.policy == PolicyKind::Backfill && backfill_coalesced != nullptr) {
-      *backfill_coalesced = report.submits_coalesced;
-    }
-    if (cfg.policy == PolicyKind::SdPolicy && sd_guests != nullptr) {
-      *sd_guests = report.summary.guests;
-    }
+    if (cfg.policy == PolicyKind::Backfill) backfill_coalesced = report.submits_coalesced;
+    if (cfg.policy == PolicyKind::SdPolicy) sd_guests = report.summary.guests;
     json.begin_object();
     json.field("name", name);
     json.key("summary");
@@ -82,8 +75,7 @@ TEST(GoldenTrace, CurieFixtureSliceMatchesGolden) {
 
   std::uint64_t backfill_coalesced = 0;
   std::uint64_t sd_guests = 0;
-  const std::string document =
-      curie_slice_document(ShardConfig{}, &backfill_coalesced, &sd_guests);
+  const std::string document = curie_slice_document(backfill_coalesced, sd_guests);
 
   // Coalescing must actually fire on the non-SD cell — that is the behaviour
   // this slice pins. (Counters are excluded from the golden document itself,
@@ -101,17 +93,6 @@ TEST(GoldenTrace, CurieFixtureSliceMatchesGolden) {
       "SDSCHED_UPDATE_GOLDEN=1 and justify the diff.");
 }
 
-// 7 shards on 5040 nodes (79 bitmap words — uneven word split) with the
-// parallel fan-out on: the full-machine burst path must reproduce the SAME
-// golden byte for byte (docs/determinism.md "Ordered shard merge").
-TEST(GoldenTrace, CurieFixtureSliceShardedMatchesSameGolden) {
-  golden::expect_matches_golden(
-      curie_slice_document(ShardConfig{7, /*parallel=*/true}, nullptr, nullptr),
-      kGoldenRelPath,
-      "sharded Curie slice diverged from the flat golden — the ordered shard "
-      "merge changed a real-trace scheduling decision.");
-}
-
 // The over-subscribed variant: synthesize_soak() at offered load 1.4 on the
 // full 5040-node machine — the saturated regime the guest budget and scan
 // ledger exist for (the bundled fixture stays near load 1, so this slice is
@@ -123,9 +104,9 @@ TEST(GoldenTrace, CurieFixtureSliceShardedMatchesSameGolden) {
 // decision-visible (budget 8 is deliberately below this slice's per-pass
 // shrinkable-guest count; production-like budgets of 64+ are
 // decision-identical to unbounded here, which the parity suite covers).
-std::string curie_saturated_document(ShardConfig shards, std::uint64_t* unbounded_rescans_out,
-                                     std::uint64_t* unbounded_deferrals_out,
-                                     std::uint64_t* budgeted_deferrals_out) {
+std::string curie_saturated_document(std::uint64_t& unbounded_rescans,
+                                     std::uint64_t& unbounded_deferrals,
+                                     std::uint64_t& budgeted_deferrals) {
   const TraceInfo* info = find_trace("curie");
   EXPECT_NE(info, nullptr);
   const Workload workload =
@@ -144,13 +125,9 @@ std::string curie_saturated_document(ShardConfig shards, std::uint64_t* unbounde
   json.key("cells");
   json.begin_array();
 
-  std::uint64_t unbounded_rescans = 0;
-  std::uint64_t unbounded_deferrals = 0;
-  std::uint64_t budgeted_deferrals = 0;
   const auto emit_cell = [&](const std::string& name, int guest_budget) {
     SimulationConfig cfg = sd_config(machine, CutoffConfig::dynamic_avg());
     cfg.sd.scan.guest_budget = guest_budget;
-    cfg.shards = shards;
     const SimulationReport report = Simulation(cfg, workload).run();
     if (guest_budget == 0) {
       unbounded_rescans = report.sd_rescans_avoided;
@@ -176,10 +153,6 @@ std::string curie_saturated_document(ShardConfig shards, std::uint64_t* unbounde
 
   json.end_array();
   json.end_object();
-
-  if (unbounded_rescans_out != nullptr) *unbounded_rescans_out = unbounded_rescans;
-  if (unbounded_deferrals_out != nullptr) *unbounded_deferrals_out = unbounded_deferrals;
-  if (budgeted_deferrals_out != nullptr) *budgeted_deferrals_out = budgeted_deferrals;
   return json.str();
 }
 
@@ -187,8 +160,8 @@ TEST(GoldenTrace, CurieSaturatedSliceMatchesGolden) {
   std::uint64_t unbounded_rescans = 0;
   std::uint64_t unbounded_deferrals = 0;
   std::uint64_t budgeted_deferrals = 0;
-  const std::string document = curie_saturated_document(
-      ShardConfig{}, &unbounded_rescans, &unbounded_deferrals, &budgeted_deferrals);
+  const std::string document =
+      curie_saturated_document(unbounded_rescans, unbounded_deferrals, budgeted_deferrals);
 
   // The slice must actually exercise the saturated machinery it pins.
   EXPECT_GT(unbounded_rescans, 0u)
@@ -203,18 +176,6 @@ TEST(GoldenTrace, CurieSaturatedSliceMatchesGolden) {
       "pins SD decisions AND scan counters under offered load > 1; if this PR "
       "intends to change the budget/ledger behaviour, regenerate with "
       "SDSCHED_UPDATE_GOLDEN=1 and justify the diff.");
-}
-
-// The saturated regime (budget + scan ledger + sharded scans all active at
-// once) must pin the SAME golden — decisions AND skip counters — at a
-// nontrivial shard count with the parallel fan-out on.
-TEST(GoldenTrace, CurieSaturatedSliceShardedMatchesSameGolden) {
-  golden::expect_matches_golden(
-      curie_saturated_document(ShardConfig{7, /*parallel=*/true}, nullptr, nullptr,
-                               nullptr),
-      kSaturatedGoldenRelPath,
-      "sharded saturated slice diverged from the flat golden — the ordered "
-      "shard merge changed a decision or a scan counter under saturation.");
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <limits>
 #include <map>
 
+#include "cluster/cluster_state_index.h"
+#include "core/mate_registry.h"
 #include "core/mate_selector.h"
 #include "drom/node_manager.h"
 #include "sched/reservation.h"
@@ -115,13 +117,23 @@ struct SelectorWorld {
     job.start_time = start;
     job.predicted_end = start + req;
     mgr.start_static(start, id, *machine.find_free_nodes(node_count));
+    registry.on_start(jobs.at(id));
     return id;
+  }
+
+  /// A selector over this world's registry and index.
+  MateSelector make_selector(const SdConfig& sd) {
+    MateSelector selector(machine, jobs, sd, registry);
+    selector.set_cluster_index(&index);
+    return selector;
   }
 
   Machine machine;
   JobRegistry jobs;
+  ClusterStateIndex index{machine, jobs};
   DromRegistry drom;
   NodeManager mgr;
+  MateRegistry registry;
 };
 
 /// Exhaustive minimum-PI search (m <= 2) with the same penalty math: mate
@@ -186,7 +198,7 @@ TEST_P(SelectorOracle, BranchAndBoundMatchesBruteForce) {
 
   SdConfig sd;
   sd.cutoff = CutoffConfig::infinite();
-  MateSelector selector(world.machine, world.jobs, sd);
+  const MateSelector selector = world.make_selector(sd);
   const SimTime now = 2600;
   const auto plan =
       selector.select(guest, now, std::numeric_limits<double>::infinity());
@@ -212,7 +224,7 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
   SelectorWorld world(16);
   SdConfig sd;
   sd.cutoff = CutoffConfig::infinite();
-  MateSelector selector(world.machine, world.jobs, sd);
+  const MateSelector selector = world.make_selector(sd);
 
   std::vector<JobId> running;
   SimTime now = 0;
@@ -242,8 +254,10 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
           for (std::size_t i = 0; i < plan->mates.size(); ++i) {
             Job& mate = world.jobs.at(plan->mates[i]);
             mate.predicted_end += plan->mate_increases[i];
+            world.index.on_predicted_end_changed(plan->mates[i]);
           }
           world.mgr.start_guest(now, id, plan->nodes);
+          world.registry.on_start(world.jobs.at(id));
           running.push_back(id);
         }
       }
@@ -255,6 +269,7 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
       world.jobs.at(id).state = JobState::Completed;
       world.jobs.at(id).end_time = now;
       world.mgr.finish_job(now, id);
+      world.registry.on_finish(id);
     }
 
     // Invariants after every step.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace sdsched {
 namespace {
 
@@ -41,6 +43,16 @@ TEST(Simulation, SingleJobRunsToCompletion) {
   EXPECT_EQ(report.records[0].end, 100);
   EXPECT_EQ(report.summary.makespan, 100);
   EXPECT_DOUBLE_EQ(report.summary.avg_slowdown, 1.0);
+}
+
+TEST(Simulation, RejectsShardCountOtherThanOne) {
+  Workload w;
+  w.add(job_of(0, 100, 100, 2));
+  for (const int count : {0, 2, 4, -1}) {
+    SimulationConfig config = config_for(PolicyKind::SdPolicy);
+    config.shards.count = count;
+    EXPECT_THROW((void)Simulation(config, w), std::invalid_argument) << count << " shards";
+  }
 }
 
 TEST(Simulation, EveryJobCompletesExactlyOnce) {

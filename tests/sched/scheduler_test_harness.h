@@ -1,10 +1,12 @@
-// Shared harness for scheduler unit tests: a Machine + JobRegistry +
-// NodeManager and a StartExecutor that applies starts the way the
-// Simulation kernel would, minus event handling.
+// Shared harness for scheduler unit tests: a StartExecutor that owns the
+// ClusterStateIndex and applies starts the way the Simulation kernel would,
+// minus event handling. Fixtures attach `executor.index` to every scheduler
+// they build (scheduler.set_cluster_index(&executor.index)).
 #pragma once
 
 #include <vector>
 
+#include "cluster/cluster_state_index.h"
 #include "drom/node_manager.h"
 #include "sched/scheduler.h"
 
@@ -12,9 +14,10 @@ namespace sdsched::testing_support {
 
 class RecordingExecutor final : public StartExecutor {
  public:
-  RecordingExecutor(Machine& machine, JobRegistry& jobs, NodeManager& mgr) noexcept
-      : machine_(machine), jobs_(jobs), mgr_(mgr) {}
+  RecordingExecutor(Machine& machine, JobRegistry& jobs, NodeManager& mgr)
+      : index(machine, jobs), jobs_(jobs), mgr_(mgr) {}
 
+  ClusterStateIndex index;
   SimTime now = 0;
   std::vector<JobId> static_starts;
   std::vector<JobId> guest_starts;
@@ -38,13 +41,13 @@ class RecordingExecutor final : public StartExecutor {
       Job& mate = jobs_.at(plan.mates[i]);
       mate.predicted_increase += plan.mate_increases[i];
       mate.predicted_end += plan.mate_increases[i];
+      index.on_predicted_end_changed(plan.mates[i]);
     }
     mgr_.start_guest(now, id, plan.nodes);
     guest_starts.push_back(id);
   }
 
  private:
-  Machine& machine_;
   JobRegistry& jobs_;
   NodeManager& mgr_;
 };

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_state_index.h"
+#include <stdexcept>
+
 #include "scheduler_test_harness.h"
 
 namespace sdsched {
@@ -18,7 +19,9 @@ class BackfillTest : public ::testing::Test {
       : machine_(make_config()),
         mgr_(machine_, jobs_, drom_),
         executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, config) {}
+        sched_(machine_, jobs_, executor_, config) {
+    sched_.set_cluster_index(&executor_.index);
+  }
 
   static MachineConfig make_config() {
     MachineConfig config;
@@ -162,8 +165,7 @@ TEST_F(EasyBackfillTest, DepthOneOnlyProtectsHead) {
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, d}));
 }
 
-// Constraint-class-aware estimates: with a cluster index attached, a
-// constrained job whose eligible nodes are busy gets an exact earliest
+// Constraint-class-aware estimates: a constrained job whose eligible nodes are busy gets an exact earliest
 // start from the per-class profile layer (a reservation at the eligible
 // release) instead of the historical conservative hold-at-now — so
 // unconstrained work is no longer blocked behind it.
@@ -171,11 +173,10 @@ class ConstrainedBackfillTest : public ::testing::Test {
  protected:
   ConstrainedBackfillTest()
       : machine_(make_config()),
-        index_(machine_, jobs_),
         mgr_(machine_, jobs_, drom_),
         executor_(machine_, jobs_, mgr_),
         sched_(machine_, jobs_, executor_, SchedConfig{}) {
-    sched_.set_cluster_index(&index_);
+    sched_.set_cluster_index(&executor_.index);
   }
 
   static MachineConfig make_config() {
@@ -199,7 +200,6 @@ class ConstrainedBackfillTest : public ::testing::Test {
 
   Machine machine_;
   JobRegistry jobs_;
-  ClusterStateIndex index_;
   DromRegistry drom_;
   NodeManager mgr_;
   RecordingExecutor executor_;
@@ -262,6 +262,7 @@ TEST_F(BackfillTest, ExaminationBudgetBoundsPassWork) {
   SchedConfig tight;
   tight.bf_max_jobs = 1;
   BackfillScheduler limited(machine_, jobs_, executor_, tight);
+  limited.set_cluster_index(&executor_.index);
   const JobId a = jobs_.add(spec_of(0, 100, 100, 192, 48));
   limited.on_submit(a);
   const JobId b = jobs_.add(spec_of(0, 10, 10, 48, 48));
@@ -270,6 +271,15 @@ TEST_F(BackfillTest, ExaminationBudgetBoundsPassWork) {
   // Only the first queued job is examined; b stays even though it fits.
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a}));
   EXPECT_TRUE(limited.queue().contains(b));
+}
+
+// Every pass reads the cluster index; there is no machine-scan fallback.
+TEST_F(BackfillTest, PassWithoutClusterIndexThrows) {
+  BackfillScheduler detached(machine_, jobs_, executor_, SchedConfig{});
+  EXPECT_THROW(detached.schedule_pass(0), std::logic_error);
+  detached.on_submit(jobs_.add(spec_of(0, 10, 10, 48, 48)));
+  EXPECT_THROW(detached.schedule_pass(0), std::logic_error);
+  EXPECT_TRUE(executor_.static_starts.empty());
 }
 
 }  // namespace

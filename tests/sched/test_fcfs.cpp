@@ -17,7 +17,9 @@ class FcfsTest : public ::testing::Test {
       : machine_(make_config()),
         mgr_(machine_, jobs_, drom_),
         executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, SchedConfig{}) {}
+        sched_(machine_, jobs_, executor_, SchedConfig{}) {
+    sched_.set_cluster_index(&executor_.index);
+  }
 
   static MachineConfig make_config() {
     MachineConfig config;
