@@ -2,12 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 namespace sdsched {
 
+namespace {
+
+bool crosscheck_env() {
+  // Read once per index at construction; nothing sets the variable while
+  // indexes are being built.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  const char* value = std::getenv("SDSCHED_CROSSCHECK");
+  return value != nullptr && *value != '\0' && std::string_view(value) != "0";
+}
+
+}  // namespace
+
 ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
-    : machine_(machine), jobs_(jobs) {
+    : machine_(machine), jobs_(jobs), crosscheck_(crosscheck_env()) {
   const int nodes = machine_.node_count();
   node_free_at_.assign(static_cast<std::size_t>(nodes), kEmptyNode);
   node_class_.resize(static_cast<std::size_t>(nodes));
@@ -136,10 +151,10 @@ int ClusterStateIndex::eligible_free_count(const JobConstraints& constraints) co
 std::optional<std::vector<int>> ClusterStateIndex::find_free_nodes(
     int count, const JobConstraints* constraints) const {
   auto picked = pick_from_bitmap(count, constraints);
-#ifdef SDSCHED_INDEX_CROSSCHECK
-  assert(picked == machine_.find_free_nodes(count, constraints) &&
-         "bitmap index pick diverged from the machine scan");
-#endif
+  if (crosscheck_ && picked != machine_.find_free_nodes(count, constraints)) {
+    throw std::logic_error("ClusterStateIndex: bitmap pick of " + std::to_string(count) +
+                           " nodes diverged from Machine::find_free_nodes");
+  }
   return picked;
 }
 
@@ -248,8 +263,7 @@ bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
       return fail(oss.str());
     }
   }
-  // Free-node bitmap: bit-level + summary-invariant check, plus the derived
-  // run view against the node scan.
+  // Free-node bitmap: every bit and the summary invariant against the scan.
   std::string runs_diag;
   if (!free_runs_.check_consistent(is_free, &runs_diag)) return fail(runs_diag);
   if (free_runs_.free_count() != machine_.free_node_count()) {

@@ -27,11 +27,14 @@
 //
 // The index is the only view of cluster state a scheduling pass reads.
 // check_consistent() cross-checks everything against the brute-force node
-// scan the index replaced; compile with SDSCHED_INDEX_CROSSCHECK (the asan
-// preset does) to run it on every scheduling pass — the free-node check
-// covers every bitmap bit, the summary invariant, and the derived run view
-// against the node scan (see free_node_index.h), and find_free_nodes()
-// additionally compares every pick against Machine::find_free_nodes.
+// scan the index replaced, down to every free-node bitmap bit and the
+// summary invariant (see free_node_index.h). The SDSCHED_CROSSCHECK
+// environment switch, read once per index (crosscheck()), turns on every
+// brute-force re-derivation at runtime: each backfill pass runs
+// check_consistent(), find_free_nodes() compares every pick against
+// Machine::find_free_nodes, and SD-Policy re-proves its MateRegistry,
+// scan-ledger skips and cut-off cache. Any divergence throws
+// std::logic_error with the diagnosis.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +99,7 @@ class ClusterStateIndex final : public MachineObserver {
   /// ids (lowest-first; earliest adequate run for contiguous requests),
   /// but resolved from the bitmap words — O(words/64 + words touched)
   /// worst case instead of O(free nodes). `count` must be >= 1. Under
-  /// SDSCHED_INDEX_CROSSCHECK every pick is compared against the machine
-  /// scan.
+  /// crosscheck() every pick is compared against the machine scan.
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
@@ -122,6 +124,11 @@ class ClusterStateIndex final : public MachineObserver {
 
   /// The class-partitioned free-node bitmap (tests).
   [[nodiscard]] const FreeNodeIndex& free_runs() const noexcept { return free_runs_; }
+
+  /// The SDSCHED_CROSSCHECK switch as read at construction: unset, empty
+  /// or "0" is off. Every brute-force crosscheck reads it from here and
+  /// throws std::logic_error with the diagnosis on divergence.
+  [[nodiscard]] bool crosscheck() const noexcept { return crosscheck_; }
 
   /// Cross-check every indexed quantity against a full scan of the machine
   /// and registry. On mismatch returns false and, if given, fills
@@ -162,6 +169,7 @@ class ClusterStateIndex final : public MachineObserver {
 
   std::uint64_t version_ = 0;
   std::uint64_t mutation_serial_ = 0;
+  bool crosscheck_ = false;
 };
 
 }  // namespace sdsched

@@ -6,38 +6,6 @@
 
 namespace sdsched {
 
-namespace {
-
-/// Build the run maps a brute-force scan would produce: walk ids in
-/// ascending order and chain consecutive free ids of the same class.
-std::vector<std::map<int, int>> scan_runs(const std::vector<int>& node_class,
-                                          std::size_t classes,
-                                          const std::vector<bool>& is_free) {
-  std::vector<std::map<int, int>> runs(classes);
-  // Per class: the run currently being extended (start id), or -1.
-  std::vector<int> open_start(classes, -1);
-  std::vector<int> open_end(classes, -1);  ///< one past the last id in the run
-  for (std::size_t id = 0; id < node_class.size(); ++id) {
-    if (!is_free[id]) continue;
-    const auto cls = static_cast<std::size_t>(node_class[id]);
-    if (open_start[cls] >= 0 && open_end[cls] == static_cast<int>(id)) {
-      ++runs[cls][open_start[cls]];
-      ++open_end[cls];
-    } else {
-      open_start[cls] = static_cast<int>(id);
-      open_end[cls] = static_cast<int>(id) + 1;
-      runs[cls][open_start[cls]] = 1;
-    }
-  }
-  return runs;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// FreeNodeIndex — the bitmap-word primary.
-// ---------------------------------------------------------------------------
-
 FreeNodeIndex::FreeNodeIndex(std::vector<int> node_class, int classes)
     : node_class_(std::move(node_class)) {
   word_count_ = (node_class_.size() + 63) / 64;
@@ -186,39 +154,6 @@ std::optional<std::vector<int>> FreeNodeIndex::pick(int count,
   return std::nullopt;
 }
 
-std::map<int, int> FreeNodeIndex::runs_of_class(int cls) const {
-  std::map<int, int> runs;
-  const ClassBits& cb = classes_[static_cast<std::size_t>(cls)];
-  int open_start = -1;
-  int open_len = 0;
-  for (std::size_t w = 0; w < word_count_; ++w) {
-    const std::uint64_t bits = cb.words[w];
-    int pos = 0;
-    while (pos < 64) {
-      const std::uint64_t rest = bits >> pos;
-      if (rest == 0) break;
-      pos += std::countr_zero(rest);
-      const std::uint64_t run_bits = bits >> pos;
-      const int len = run_bits == ~std::uint64_t{0} ? 64 - pos
-                                                    : std::countr_zero(~run_bits);
-      if (pos == 0 && open_len > 0 && open_start + open_len == static_cast<int>(w << 6)) {
-        open_len += len;
-      } else {
-        if (open_len > 0) runs.emplace(open_start, open_len);
-        open_start = static_cast<int>(w << 6) + pos;
-        open_len = len;
-      }
-      pos += len;
-    }
-    if (pos < 64 || (bits >> 63) == 0) {
-      if (open_len > 0) runs.emplace(open_start, open_len);
-      open_len = 0;
-    }
-  }
-  if (open_len > 0) runs.emplace(open_start, open_len);
-  return runs;
-}
-
 bool FreeNodeIndex::check_consistent(const std::vector<bool>& is_free,
                                      std::string* diagnosis) const {
   assert(is_free.size() == node_class_.size());
@@ -227,8 +162,8 @@ bool FreeNodeIndex::check_consistent(const std::vector<bool>& is_free,
     return false;
   };
 
-  // Tier 1: every bit against the brute-force predicate, plus the summary
-  // invariant and the cached popcounts.
+  // Every bit against the brute-force predicate, plus the summary invariant
+  // and the cached popcounts.
   int expect_free = 0;
   std::vector<int> expect_class_free(classes_.size(), 0);
   for (std::size_t id = 0; id < node_class_.size(); ++id) {
@@ -272,18 +207,6 @@ bool FreeNodeIndex::check_consistent(const std::vector<bool>& is_free,
       }
     }
   }
-
-  // Tier 2: the derived run view against the scan (the contract the run
-  // index used to own).
-  const auto expect_runs = scan_runs(node_class_, classes_.size(), is_free);
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (runs_of_class(static_cast<int>(c)) != expect_runs[c]) {
-      std::ostringstream oss;
-      oss << "bitmap index class " << c << " derived runs diverged from node scan";
-      return fail(oss.str());
-    }
-  }
-
   return true;
 }
 

@@ -28,17 +28,14 @@
 //
 // The index answers with exactly the node ids Machine::find_free_nodes
 // would return (lowest-first, earliest adequate span for contiguous
-// requests). check_consistent runs a two-tier parity check against a
-// brute-force node scan — every bit plus the summary invariant, then the
-// derived run view (the contract the PR 5 run index used to own; that
-// structure itself served out its deprecation window as a
-// SDSCHED_INDEX_CROSSCHECK shadow and is gone) — and the ClusterStateIndex
-// harness additionally compares every indexed pick against the machine
-// scan under SDSCHED_INDEX_CROSSCHECK.
+// requests). check_consistent checks every bit, the summary invariant and
+// the cached counts against a brute-force node scan; runs are a pure
+// function of the bits, so no run view is kept or checked. The
+// ClusterStateIndex additionally compares every indexed pick against the
+// machine scan under its crosscheck() switch.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,10 +72,6 @@ class FreeNodeIndex {
                                                      const std::vector<int>& classes,
                                                      bool contiguous) const;
 
-  /// One class's free runs, derived from the bitmap on demand — test and
-  /// diagnostic surface only (the hot paths never materialize runs).
-  [[nodiscard]] std::map<int, int> runs_of_class(int cls) const;
-
   /// One class's bitmap words / summary words (tests: the summary-level
   /// invariant `summary bit w == (words[w] != 0)` is asserted after every
   /// mutation by the property suite).
@@ -90,9 +83,8 @@ class FreeNodeIndex {
   }
 
   /// Verify against `is_free` (a brute-force free predicate over node ids):
-  /// every bit, the summary level, the cached counts, and the derived run
-  /// view against the scan. On mismatch returns false and, if given, fills
-  /// `diagnosis`.
+  /// every bit, the summary level and the cached counts. On mismatch
+  /// returns false and, if given, fills `diagnosis`.
   [[nodiscard]] bool check_consistent(const std::vector<bool>& is_free,
                                       std::string* diagnosis = nullptr) const;
 

@@ -29,9 +29,10 @@
 //    only until the earliest kept predicted end (Entry::valid_until,
 //    fed by MateSelector::last_scan()).
 //
-// Skips are decision-invisible by construction; SDSCHED_SD_CROSSCHECK (or
-// GuestScanPolicy::crosscheck) re-runs the full search on every claimed
-// skip and throws on divergence — the runtime analogue of the proof.
+// Skips are decision-invisible by construction; under the SDSCHED_CROSSCHECK
+// switch (ClusterStateIndex::crosscheck()) SD-Policy re-runs the full search
+// on every claimed skip and throws on divergence — the runtime analogue of
+// the proof.
 #pragma once
 
 #include <cstdint>
@@ -42,40 +43,16 @@
 
 namespace sdsched {
 
-/// How the per-pass guest budget slices the priority order.
-enum class SliceKind : int {
-  /// Strict FIFO prefix: the first guest_budget malleability-capable
-  /// guests in priority order. The historical (byte-identical) default.
-  kPrefix = 0,
-  /// Wait-time-rotating window: each pass starts its budget window where
-  /// the previous pass's window ended (wrapping when the window runs past
-  /// the guests seen last pass), so guests stuck behind a head-of-queue
-  /// clump that always fails to start still get considered within
-  /// ceil(seen / budget) passes — long-waiting tail guests are reached
-  /// instead of starved. Deterministic: the offset advances by exactly
-  /// guest_budget per pass. Inert when guest_budget == 0.
-  kRotate = 1,
-};
-
 /// SD guest-consideration policy knobs (SdConfig::scan).
 struct GuestScanPolicy {
   /// Top-K head-of-queue slice: malleability-capable guests considered per
   /// pass. 0 = unbounded (byte-identical to the pre-ledger pass).
   int guest_budget = 0;
 
-  /// Which slice of the priority order the budget admits (kPrefix keeps
-  /// the historical decisions byte-identical).
-  SliceKind slice = SliceKind::kPrefix;
-
   /// Consult the failed-select ledger before re-running a mate search.
   /// Decision-invisible (see the proof above), so it defaults on; turning
   /// it off only changes how much work runs, never which plans start.
   bool ledger = true;
-
-  /// Re-run the full mate search on every claimed-safe skip and throw
-  /// std::logic_error on divergence. The SDSCHED_SD_CROSSCHECK environment
-  /// variable enables the same mode process-wide.
-  bool crosscheck = false;
 };
 
 /// Per-guest record of the state in which the last mate search failed.

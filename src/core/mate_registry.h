@@ -17,7 +17,7 @@
 //
 // Decision parity with the full scan is the contract; check_consistent()
 // re-derives both sets by brute force (SdPolicyScheduler runs it on every
-// pass under SDSCHED_INDEX_CROSSCHECK, as the asan preset does).
+// pass under the SDSCHED_CROSSCHECK switch, as the asan test preset does).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,10 @@
 #include "core/sd_policy.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
@@ -13,57 +13,26 @@
 
 namespace sdsched {
 
-namespace {
-
-/// SDSCHED_SD_CROSSCHECK: re-run every ledger-skipped mate search in full
-/// and throw on divergence. Read once; all schedulers (and sweep workers)
-/// share the value, like the other SDSCHED_* mode switches.
-bool sd_crosscheck_env() noexcept {
-  static const bool enabled = []() noexcept {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — one-time read under static init
-    const char* value = std::getenv("SDSCHED_SD_CROSSCHECK");
-    return value != nullptr && value[0] != '\0' &&
-           !(value[0] == '0' && value[1] == '\0');
-  }();
-  return enabled;
-}
-
-}  // namespace
-
 SdPolicyScheduler::SdPolicyScheduler(Machine& machine, JobRegistry& jobs,
                                      StartExecutor& executor, SchedConfig sched_config,
                                      SdConfig sd_config) noexcept
     : BackfillScheduler(machine, jobs, executor, sched_config),
       sd_config_(sd_config),
-      selector_(machine, jobs, sd_config_, mate_registry_),
-      crosscheck_(sd_config.scan.crosscheck || sd_crosscheck_env()) {
+      selector_(machine, jobs, sd_config_, mate_registry_) {
   // Warm-start scenarios construct the scheduler against running jobs.
   mate_registry_.seed(jobs_);
 }
 
 void SdPolicyScheduler::schedule_pass(SimTime now) {
-#ifdef SDSCHED_INDEX_CROSSCHECK
-  std::string diagnosis;
-  const bool consistent = mate_registry_.check_consistent(jobs_, &diagnosis);
-  if (!consistent) log_error("sd", "mate registry inconsistent: ", diagnosis);
-  assert(consistent && "MateRegistry diverged from the job scan");
-#endif
+  require_cluster_index();
+  if (cluster_index_->crosscheck()) {
+    std::string diagnosis;
+    if (!mate_registry_.check_consistent(jobs_, &diagnosis)) {
+      throw std::logic_error("MateRegistry diverged from the job scan: " + diagnosis);
+    }
+  }
   guests_considered_ = 0;
-  pass_guests_seen_ = 0;
-  rotate_skip_ = 0;
-  const bool rotating = sd_config_.scan.slice == SliceKind::kRotate &&
-                        sd_config_.scan.guest_budget > 0;
-  if (rotating) {
-    // Wrap once the window would start past the guests the previous pass
-    // saw — every waiting guest falls inside some window of the cycle.
-    if (slice_offset_ >= last_pass_seen_) slice_offset_ = 0;
-    rotate_skip_ = slice_offset_;
-  }
   BackfillScheduler::schedule_pass(now);
-  if (rotating) {
-    last_pass_seen_ = pass_guests_seen_;
-    slice_offset_ += sd_config_.scan.guest_budget;
-  }
 }
 
 void SdPolicyScheduler::annotate(SimulationReport& report) const {
@@ -85,13 +54,14 @@ double SdPolicyScheduler::pass_cutoff(SimTime now) {
     cutoff_serial_ = serial;
     cutoff_epoch_ = epoch;
     cutoff_cache_valid_ = true;
-  } else if (crosscheck_) {
+  } else if (cluster_index_->crosscheck()) {
     const double fresh =
         compute_cutoff(sd_config_.cutoff, jobs_, mate_registry_.running(), now);
     if (fresh != cutoff_value_) {
-      log_error("sd", "cutoff cache diverged: cached ", cutoff_value_, ", fresh ",
-                fresh, " at t=", now);
-      throw std::logic_error("SD cutoff cache diverged from a fresh computation");
+      std::ostringstream oss;
+      oss << "SD cutoff cache diverged from a fresh computation: cached " << cutoff_value_
+          << ", fresh " << fresh << " at t=" << now;
+      throw std::logic_error(oss.str());
     }
   }
   return cutoff_value_;
@@ -103,18 +73,9 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
 
   // Top-K slice: the budget counts guests *considered* — estimate
   // rejections, ledger skips and real mate searches all take a slot — so a
-  // bounded pass sees a contiguous window of the priority order (a pure
-  // prefix under SliceKind::kPrefix; kRotate starts the window where the
-  // previous pass's ended) and the ledger can never change which guests
-  // reach this point.
+  // bounded pass sees a prefix of the priority order and the ledger can
+  // never change which guests reach this point.
   if (sd_config_.scan.guest_budget > 0) {
-    ++pass_guests_seen_;
-    if (rotate_skip_ > 0) {
-      // Before this pass's rotating window: deferred, no slot consumed.
-      --rotate_skip_;
-      ++budget_deferrals_;
-      return false;
-    }
     if (guests_considered_ >= sd_config_.scan.guest_budget) {
       ++budget_deferrals_;
       return false;
@@ -161,13 +122,12 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
   if (sd_config_.scan.ledger &&
       scan_ledger_.can_skip(job.spec.id, cluster_index_->mutation_serial(),
                             mate_registry_.epoch(), planned, max_free_nodes, now)) {
-    if (crosscheck_) {
-      const auto verify = selector_.select(job, now, cutoff, max_free_nodes, planned);
-      if (verify) {
-        log_error("sd", "scan ledger claimed a safe skip for job ", job.spec.id,
-                  " at t=", now, " but the full search found a plan");
-        throw std::logic_error("GuestScanLedger skip diverged from the full mate search");
-      }
+    if (cluster_index_->crosscheck() &&
+        selector_.select(job, now, cutoff, max_free_nodes, planned)) {
+      std::ostringstream oss;
+      oss << "GuestScanLedger skip diverged from the full mate search: job "
+          << job.spec.id << " at t=" << now << " has a plan";
+      throw std::logic_error(oss.str());
     }
     ++selection_failures_;  // decision parity: the full search would fail too
     ++rescans_avoided_;

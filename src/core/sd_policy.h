@@ -16,8 +16,8 @@
 // eligible-mate id sets fed by the start and finish notifications the
 // schedulers emit — so neither the DynAVGSD cut-off nor candidate
 // collection rescans the whole job registry per malleable-start attempt.
-// Under SDSCHED_INDEX_CROSSCHECK every pass re-derives the registry by
-// brute force and asserts agreement.
+// Under the cluster index's crosscheck() switch every pass re-derives the
+// registry by brute force and throws std::logic_error on disagreement.
 //
 // Saturated-queue bounds (SdConfig::scan, see core/guest_scan_policy.h):
 // an optional top-K guest budget slices each pass to the head of the
@@ -27,9 +27,9 @@
 // finish hooks below (reconfigurations land as machine mutations, so the
 // serial key covers them). The DynAVGSD cut-off rides the same key in a
 // one-slot cache: at a fixed (serial, epoch) it is now-independent, since
-// running jobs' waits froze at their starts. SDSCHED_SD_CROSSCHECK (env)
-// or scan.crosscheck re-runs every skipped search in full and throws
-// std::logic_error on divergence.
+// running jobs' waits froze at their starts. Under the same crosscheck()
+// switch every skipped search re-runs in full and every cache hit is
+// recomputed, throwing std::logic_error on divergence.
 #pragma once
 
 #include "core/cutoff.h"
@@ -102,14 +102,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   MateRegistry mate_registry_;
   MateSelector selector_;
   GuestScanLedger scan_ledger_;
-  bool crosscheck_ = false;     ///< scan.crosscheck OR SDSCHED_SD_CROSSCHECK
   int guests_considered_ = 0;   ///< this pass, against scan.guest_budget
-  // Rotating-slice state (scan.slice == kRotate; all zero under kPrefix,
-  // keeping the prefix path byte-identical).
-  int rotate_skip_ = 0;         ///< guests still to skip before this pass's window
-  int pass_guests_seen_ = 0;    ///< malleability-capable guests reaching the slice
-  int last_pass_seen_ = 0;      ///< previous pass's pass_guests_seen_ (wrap bound)
-  int slice_offset_ = 0;        ///< where the next pass's window starts
   bool cutoff_cache_valid_ = false;
   std::uint64_t cutoff_serial_ = 0;
   std::uint64_t cutoff_epoch_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
@@ -28,12 +30,12 @@ ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
   class_layers_.clear();
   pass_reserves_.clear();
 
-#ifdef SDSCHED_INDEX_CROSSCHECK
-  std::string diagnosis;
-  const bool consistent = cluster_index_->check_consistent(&diagnosis);
-  if (!consistent) log_error("backfill", "cluster index inconsistent: ", diagnosis);
-  assert(consistent && "ClusterStateIndex diverged from the machine scan");
-#endif
+  if (cluster_index_->crosscheck()) {
+    std::string diagnosis;
+    if (!cluster_index_->check_consistent(&diagnosis)) {
+      throw std::logic_error("ClusterStateIndex diverged from the machine scan: " + diagnosis);
+    }
+  }
   if (profile_valid_ && profile_version_ == cluster_index_->version() &&
       profile_.first_release_time() > now) {
     // Nothing changed since the last pass and no release crossed `now`:

@@ -38,8 +38,9 @@ int ReservationProfile::base_free_at(SimTime t, std::size_t* step_index) const {
   return it == base_.begin() ? capacity_ : std::prev(it)->free;
 }
 
-void ReservationProfile::add_overlay_delta(SimTime start, SimTime end, int delta) {
-  if (start >= end || delta == 0) return;
+void ReservationProfile::reserve(SimTime start, SimTime end, int nodes) {
+  assert(nodes >= 0);
+  if (start >= end || nodes == 0) return;
   const auto apply = [this](SimTime time, int d) {
     const auto it = std::lower_bound(
         overlay_.begin(), overlay_.end(), time,
@@ -51,18 +52,8 @@ void ReservationProfile::add_overlay_delta(SimTime start, SimTime end, int delta
       overlay_.insert(it, {time, d});
     }
   };
-  apply(start, delta);
-  if (end < kForever) apply(end, -delta);
-}
-
-void ReservationProfile::reserve(SimTime start, SimTime end, int nodes) {
-  assert(nodes >= 0);
-  add_overlay_delta(start, end, -nodes);
-}
-
-void ReservationProfile::release(SimTime start, SimTime end, int nodes) {
-  assert(nodes >= 0);
-  add_overlay_delta(start, end, nodes);
+  apply(start, -nodes);
+  if (end < kForever) apply(end, nodes);
 }
 
 ReservationProfile::Sweep ReservationProfile::sweep_at(SimTime t) const {

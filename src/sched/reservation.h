@@ -8,7 +8,7 @@
 //    set_base() from the ClusterStateIndex and *reused*
 //    across passes while the cluster is unchanged;
 //  * a **pass overlay** — a small sorted delta vector holding only the
-//    reservations the current pass itself places (reserve()/release()).
+//    reservations the current pass itself places (reserve()).
 //    clear_overlay() is the per-pass undo log: O(overlay), not O(world).
 //
 // Queries merge-walk both layers. Both the backfill baseline and the
@@ -44,10 +44,6 @@ class ReservationProfile {
   /// Remove `nodes` of availability over [start, end). end may be kForever.
   /// Callers reserve only what earliest_start() said was free.
   void reserve(SimTime start, SimTime end, int nodes);
-
-  /// Add `nodes` of availability over [start, end) — used when a running
-  /// job's predicted end moves later (mates stretched by malleability).
-  void release(SimTime start, SimTime end, int nodes);
 
   /// Free nodes at time t.
   [[nodiscard]] int available_at(SimTime t) const;
@@ -100,8 +96,6 @@ class ReservationProfile {
   [[nodiscard]] Sweep sweep_at(SimTime t) const;
   [[nodiscard]] SimTime next_breakpoint(const Sweep& sweep) const noexcept;
   void advance_to(Sweep& sweep, SimTime t) const noexcept;
-
-  void add_overlay_delta(SimTime start, SimTime end, int delta);
 
   int capacity_ = 0;
   std::vector<Step> base_;                            ///< sorted, cumulative

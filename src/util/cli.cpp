@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace sdsched {
 
@@ -12,6 +13,19 @@ std::string env_name(const std::string& flag) {
     name += (c == '-') ? '_' : static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   }
   return name;
+}
+
+/// `parse` (std::stoll / std::stod) must consume all of `value`; anything
+/// else throws std::invalid_argument naming the flag.
+template <typename Parse>
+auto parse_whole(const std::string& flag, const std::string& value, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto number = parse(value, &used);
+    if (used == value.size()) return number;
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+  }
+  throw std::invalid_argument("--" + flag + ": '" + value + "' is not a number");
 }
 
 }  // namespace
@@ -50,21 +64,15 @@ std::string CliArgs::get_or(const std::string& name, const std::string& fallback
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  try {
-    return std::stoll(*value);
-  } catch (...) {
-    return fallback;
-  }
+  return parse_whole(name, *value,
+                     [](const std::string& s, std::size_t* used) { return std::stoll(s, used); });
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  try {
-    return std::stod(*value);
-  } catch (...) {
-    return fallback;
-  }
+  return parse_whole(name, *value,
+                     [](const std::string& s, std::size_t* used) { return std::stod(s, used); });
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

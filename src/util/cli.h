@@ -3,6 +3,8 @@
 // Syntax: --name=value or --name value; bare --name sets "1" (boolean).
 // Values fall back to environment variables (upper-cased, SDSCHED_ prefix,
 // dashes -> underscores) so `SDSCHED_FULL=1 ./bench` works fleet-wide.
+// get_int/get_double throw std::invalid_argument, naming the flag, when the
+// whole value does not parse (`--jobs=abc`, `--seconds=5s`).
 #pragma once
 
 #include <cstdint>

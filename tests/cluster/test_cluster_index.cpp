@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../scoped_env.h"
 #include "drom/node_manager.h"
 
 namespace sdsched {
@@ -183,6 +185,37 @@ TEST(ClusterStateIndex, EmptyMachineIsConsistent) {
   std::vector<std::pair<SimTime, int>> groups;
   c.index->busy_groups(100, groups);
   EXPECT_TRUE(groups.empty());
+}
+
+// SDSCHED_CROSSCHECK is read once, when the index is built: unset, empty
+// or "0" is off, anything else on.
+TEST(ClusterStateIndex, CrosscheckSwitchReadAtConstruction) {
+  for (const char* off : {"", "0"}) {
+    const testing_support::ScopedEnv env("SDSCHED_CROSSCHECK", off);
+    EXPECT_FALSE(Cluster().index->crosscheck()) << "value '" << off << "'";
+  }
+  std::optional<Cluster> c;
+  {
+    const testing_support::ScopedEnv unset("SDSCHED_CROSSCHECK", std::nullopt);
+    EXPECT_FALSE(Cluster().index->crosscheck());
+    const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+    c.emplace();
+  }
+  EXPECT_TRUE(c->index->crosscheck()) << "the switch must outlive the variable";
+}
+
+// Under the switch every pick is compared against the machine scan: an
+// index the machine changed behind its back throws instead of answering.
+TEST(ClusterStateIndex, CrosscheckedPickThrowsOnStaleIndex) {
+  const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+  Cluster c;
+  NodeManager mgr(*c.machine, c.jobs, c.drom);
+  EXPECT_EQ(*c.index->find_free_nodes(2), (std::vector<int>{0, 1}));
+
+  c.machine->set_observer(nullptr);
+  mgr.start_static(0, c.add_running(0, 1, 100), {0});
+  c.machine->set_observer(&*c.index);
+  EXPECT_THROW((void)c.index->find_free_nodes(2), std::logic_error);
 }
 
 TEST(ClusterStateIndex, EligibleCountsMatchMachinePartition) {

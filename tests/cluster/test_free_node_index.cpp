@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -18,21 +17,34 @@
 namespace sdsched {
 namespace {
 
+/// The contiguous pick of `count` ids from `classes`; empty when no run of
+/// free nodes is long enough. Picks return the earliest adequate run, so
+/// probing lengths pins down the run structure through the production API.
+std::vector<int> span(const FreeNodeIndex& index, int count, const std::vector<int>& classes) {
+  return index.pick(count, classes, /*contiguous=*/true).value_or(std::vector<int>{});
+}
+
 TEST(FreeNodeIndex, RunsMergeAndSplit) {
   // One class over ids 0..7.
   FreeNodeIndex index(std::vector<int>(8, 0), 1);
   EXPECT_EQ(index.free_count(), 8);
-  EXPECT_EQ(index.runs_of_class(0), (std::map<int, int>{{0, 8}}));
+  EXPECT_EQ(span(index, 8, {0}), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 
   index.erase(3);  // split [0,8) -> [0,3) + [4,8)
-  EXPECT_EQ(index.runs_of_class(0), (std::map<int, int>{{0, 3}, {4, 4}}));
-  index.erase(0);  // trim the head
-  EXPECT_EQ(index.runs_of_class(0), (std::map<int, int>{{1, 2}, {4, 4}}));
-  index.erase(7);  // trim the tail
-  EXPECT_EQ(index.runs_of_class(0), (std::map<int, int>{{1, 2}, {4, 3}}));
+  EXPECT_EQ(span(index, 3, {0}), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(span(index, 4, {0}), (std::vector<int>{4, 5, 6, 7}));
+  EXPECT_TRUE(span(index, 5, {0}).empty());
+  index.erase(0);  // trim the head: [1,3) + [4,8)
+  EXPECT_EQ(span(index, 2, {0}), (std::vector<int>{1, 2}));
+  EXPECT_EQ(span(index, 3, {0}), (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(span(index, 4, {0}), (std::vector<int>{4, 5, 6, 7}));
+  index.erase(7);  // trim the tail: [1,3) + [4,7)
+  EXPECT_EQ(span(index, 3, {0}), (std::vector<int>{4, 5, 6}));
+  EXPECT_TRUE(span(index, 4, {0}).empty());
 
   index.insert(3);  // bridge [1,3) + {3} + [4,7) -> [1,7)
-  EXPECT_EQ(index.runs_of_class(0), (std::map<int, int>{{1, 6}}));
+  EXPECT_EQ(span(index, 6, {0}), (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(span(index, 7, {0}).empty());
   EXPECT_EQ(index.free_count(), 6);
 
   std::vector<bool> is_free{false, true, true, true, true, true, true, false};
@@ -44,17 +56,18 @@ TEST(FreeNodeIndex, RunsNeverBridgeAcrossClasses) {
   // Ids 0,1 class 0; id 2 class 1; ids 3,4 class 0: the class-0 runs stay
   // split by the foreign id even when everything is free.
   FreeNodeIndex index({0, 0, 1, 0, 0}, 2);
-  EXPECT_EQ(index.runs_of_class(0), (std::map<int, int>{{0, 2}, {3, 2}}));
-  EXPECT_EQ(index.runs_of_class(1), (std::map<int, int>{{2, 1}}));
+  EXPECT_EQ(span(index, 2, {0}), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(span(index, 3, {0}).empty());  // class 0 alone has no 3-run
+  EXPECT_EQ(span(index, 1, {1}), (std::vector<int>{2}));
+  EXPECT_TRUE(span(index, 2, {1}).empty());
 
   // But a multi-class pick walks the union in id order: contiguous spans
   // may cross class boundaries.
-  const auto span = index.pick(5, {0, 1}, /*contiguous=*/true);
-  ASSERT_TRUE(span.has_value());
-  EXPECT_EQ(*span, (std::vector<int>{0, 1, 2, 3, 4}));
-  // Class 0 alone has no 3-run.
-  EXPECT_FALSE(index.pick(3, {0}, /*contiguous=*/true).has_value());
+  EXPECT_EQ(span(index, 5, {0, 1}), (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(*index.pick(3, {0}, /*contiguous=*/false), (std::vector<int>{0, 1, 3}));
+
+  index.erase(0);  // the second class-0 run is the earliest adequate one now
+  EXPECT_EQ(span(index, 2, {0}), (std::vector<int>{3, 4}));
 }
 
 // ---------------------------------------------------------------------------

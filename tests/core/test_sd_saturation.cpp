@@ -12,9 +12,10 @@
 //  (b) a budget at least the queue depth is byte-identical to unbounded,
 //      and a tight budget still drains the workload (deferred guests are
 //      reconsidered on later passes);
-//  (c) crosscheck mode — which brute-force re-runs the full unbounded mate
-//      search on every claimed-safe skip and throws std::logic_error if the
-//      "provably unchanged" state found a plan after all — passes clean.
+//  (c) the SDSCHED_CROSSCHECK switch — which brute-force re-runs the full
+//      unbounded mate search on every claimed-safe skip and throws
+//      std::logic_error if the "provably unchanged" state found a plan
+//      after all — passes clean.
 //      This is the "ledger never skips a guest whose mate set changed"
 //      recheck, executed inside the production pass itself.
 //
@@ -26,11 +27,13 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "../integration/golden_common.h"
+#include "../scoped_env.h"
 #include "api/experiment.h"
 #include "api/simulation.h"
+#include "cluster/cluster_state_index.h"
+#include "cluster/machine.h"
 #include "core/guest_scan_policy.h"
 #include "core/mate_registry.h"
 #include "job/job_registry.h"
@@ -44,9 +47,9 @@ namespace {
 /// A small machine under offered load > 1: the queue saturates within the
 /// first simulated hours, so every pass exercises the budget slice and the
 /// ledger sees plenty of repeated failed selects.
-Workload saturated_workload(std::uint64_t seed, int n_jobs = 400) {
+Workload saturated_workload(std::uint64_t seed) {
   CirneConfig wl;
-  wl.n_jobs = n_jobs;
+  wl.n_jobs = 400;
   wl.system_nodes = 64;
   wl.cores_per_node = 8;
   wl.max_job_nodes = 16;
@@ -152,15 +155,23 @@ TEST(SdSaturation, TightBudgetDefersButDrains) {
   }
 }
 
-// (c) Brute-force recheck: crosscheck mode re-runs the full mate search on
-// every claimed-safe skip inside the pass and throws std::logic_error when
-// a skip would have hidden a plan. A clean saturated run with skips firing
-// IS the exhaustive "no guest with a changed mate set was skipped" check.
+// (c) Brute-force recheck: the crosscheck switch re-runs the full mate
+// search on every claimed-safe skip inside the pass and throws
+// std::logic_error when a skip would have hidden a plan. A clean saturated
+// run with skips firing IS the exhaustive "no guest with a changed mate set
+// was skipped" check.
 TEST(SdSaturation, CrosscheckValidatesEverySkip) {
+  const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
+  {
+    // Every index built under the guard reads the switch, the Simulation's
+    // included: without it the recheck below would be vacuous.
+    Machine machine(saturated_machine());
+    const JobRegistry jobs;
+    ASSERT_TRUE(ClusterStateIndex(machine, jobs).crosscheck());
+  }
   for (const std::uint64_t seed : {11u, 47u}) {
     GuestScanPolicy scan;
     scan.ledger = true;
-    scan.crosscheck = true;
     SimulationReport report;
     ASSERT_NO_THROW(report = run_cell(seed, scan))
         << "crosscheck refuted a ledger skip at seed " << seed;
@@ -219,97 +230,6 @@ TEST(SdSaturation, MateRegistryEpochTracksMembership) {
 
   registry.on_finish(id);
   EXPECT_EQ(registry.epoch(), initial + 3);
-}
-
-// --- SdConfig::scan.slice --------------------------------------------------
-// kPrefix stays the historical byte-identical default; kRotate walks the
-// budget window across passes so a head guest that perpetually burns the
-// budget cannot starve the tail.
-
-/// Two-node stage for the starvation scenario: two long 1-node mates
-/// holding the whole machine, a big guest A that burns the single budget
-/// slot on an estimate rejection every pass, and a tiny 1-node guest B
-/// behind it whose only eligible mates (w_i <= W) are the 1-node runners —
-/// it could start malleably at once, if the slice ever reaches it.
-Workload starvation_workload() {
-  std::vector<JobSpec> specs;
-  for (int i = 0; i < 2; ++i) {
-    JobSpec mate;
-    mate.submit = 0;
-    mate.req_cpus = 8;
-    mate.req_nodes = 1;
-    mate.base_runtime = 400;
-    mate.req_time = 400;
-    specs.push_back(mate);
-  }
-  JobSpec big;  // static_end 2400 always beats quick_mall_end (~2x req_time)
-  big.submit = 1;
-  big.req_cpus = 16;
-  big.req_nodes = 2;
-  big.base_runtime = 2000;
-  big.req_time = 2000;
-  specs.push_back(big);
-  JobSpec tiny;
-  tiny.submit = 2;
-  tiny.req_cpus = 8;
-  tiny.req_nodes = 1;
-  tiny.base_runtime = 20;
-  tiny.req_time = 20;
-  specs.push_back(tiny);
-  return Workload(WorkloadInfo{"starvation"}, std::move(specs));
-}
-
-SimulationReport run_slice(SliceKind slice) {
-  MachineConfig machine = saturated_machine();
-  machine.nodes = 2;
-  SimulationConfig cfg = sd_config(machine, CutoffConfig::infinite());
-  cfg.sd.scan.guest_budget = 1;
-  cfg.sd.scan.slice = slice;
-  return Simulation(cfg, starvation_workload()).run();
-}
-
-TEST(ShardSlice, RotateDrainsStarvedTail) {
-  const SimulationReport prefix = run_slice(SliceKind::kPrefix);
-  const SimulationReport rotate = run_slice(SliceKind::kRotate);
-
-  ASSERT_EQ(prefix.records.size(), 4u);
-  ASSERT_EQ(rotate.records.size(), 4u);
-  const auto tiny_of = [](const SimulationReport& report) -> const JobRecord& {
-    for (const JobRecord& record : report.records) {
-      if (record.id == 3) return record;
-    }
-    ADD_FAILURE() << "tiny guest record missing";
-    return report.records.front();
-  };
-  const JobRecord& tiny_prefix = tiny_of(prefix);
-  const JobRecord& tiny_rotate = tiny_of(rotate);
-
-  // Prefix: the head guest burns the slot every pass; the tiny guest only
-  // moves once the mate finishes at t=400.
-  EXPECT_GE(tiny_prefix.start, 400);
-  // Rotate: the window shifts past the head guest on the next pass and the
-  // tiny guest starts malleably while the mate is still running.
-  EXPECT_TRUE(tiny_rotate.was_guest);
-  EXPECT_LT(tiny_rotate.start, 400);
-  EXPECT_GT(rotate.malleable_starts, 0u);
-  // Rotation defers, never starves: both runs drain the whole workload.
-  for (const SimulationReport* report : {&prefix, &rotate}) {
-    for (const JobRecord& record : report->records) {
-      EXPECT_GE(record.end, record.start) << "job " << record.id << " never finished";
-    }
-  }
-}
-
-// A rotating window at least the queue depth wraps to offset 0 every pass —
-// the unbounded prefix pass, byte for byte.
-TEST(ShardSlice, CoveringRotateMatchesUnboundedPrefix) {
-  constexpr int kJobs = 250;
-  const Workload workload = saturated_workload(11u, kJobs);
-  GuestScanPolicy covering;
-  covering.guest_budget = kJobs;  // queue depth can never exceed the job count
-  covering.slice = SliceKind::kRotate;
-  EXPECT_EQ(decision_document(Simulation(saturated_config(GuestScanPolicy{}), workload).run()),
-            decision_document(Simulation(saturated_config(covering), workload).run()));
 }
 
 }  // namespace

@@ -32,9 +32,6 @@ class NaiveProfile {
   void reserve(SimTime start, SimTime end, int nodes) {
     for (SimTime t = start; t < std::min<SimTime>(end, horizon()); ++t) free_[t] -= nodes;
   }
-  void release(SimTime start, SimTime end, int nodes) {
-    for (SimTime t = start; t < std::min<SimTime>(end, horizon()); ++t) free_[t] += nodes;
-  }
   [[nodiscard]] int available_at(SimTime t) const {
     return t < horizon() ? free_[t] : capacity_;
   }

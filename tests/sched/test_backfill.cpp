@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "../scoped_env.h"
 #include "scheduler_test_harness.h"
 
 namespace sdsched {
@@ -280,6 +282,37 @@ TEST_F(BackfillTest, PassWithoutClusterIndexThrows) {
   detached.on_submit(jobs_.add(spec_of(0, 10, 10, 48, 48)));
   EXPECT_THROW(detached.schedule_pass(0), std::logic_error);
   EXPECT_TRUE(executor_.static_starts.empty());
+}
+
+// With SDSCHED_CROSSCHECK on, every pass first checks the cluster index
+// against the machine scan: a pass over a stale index throws instead of
+// deciding on state the machine no longer has.
+TEST(BackfillCrosscheck, PassOverStaleIndexThrows) {
+  const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+  MachineConfig config;
+  config.nodes = 4;
+  config.node = NodeConfig{2, 24};
+  Machine machine(config);
+  JobRegistry jobs;
+  DromRegistry drom;
+  NodeManager mgr(machine, jobs, drom);
+  RecordingExecutor executor(machine, jobs, mgr);
+  ASSERT_TRUE(executor.index.crosscheck());
+  BackfillScheduler sched(machine, jobs, executor, SchedConfig{});
+  sched.set_cluster_index(&executor.index);
+
+  const JobId a = jobs.add(spec_of(0, 100, 100, 48, 48));
+  sched.on_submit(a);
+  ASSERT_NO_THROW(sched.schedule_pass(0));
+  EXPECT_EQ(executor.static_starts, (std::vector<JobId>{a}));
+
+  // Occupy a node while the index is detached, then reattach it stale.
+  machine.set_observer(nullptr);
+  executor.start_static(jobs.add(spec_of(0, 100, 100, 48, 48)), {1});
+  machine.set_observer(&executor.index);
+
+  sched.on_submit(jobs.add(spec_of(1, 10, 10, 48, 48)));
+  EXPECT_THROW(sched.schedule_pass(1), std::logic_error);
 }
 
 }  // namespace

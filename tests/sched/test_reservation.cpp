@@ -68,8 +68,8 @@ TEST(Reservation, BackToBackReservations) {
 
 TEST(Reservation, ReleaseExtendsAvailability) {
   ReservationProfile profile(4);
-  profile.reserve(0, 100, 4);
-  profile.release(50, 100, 2);  // two nodes free earlier than predicted
+  profile.reserve(0, 50, 2);  // two nodes come back at 50, two at 100
+  profile.reserve(0, 100, 2);
   EXPECT_EQ(profile.available_at(49), 0);
   EXPECT_EQ(profile.available_at(50), 2);
   EXPECT_EQ(profile.earliest_start(2, 10, 0), 50);
@@ -248,13 +248,8 @@ TEST(Reservation, RandomizedAgainstBruteForce) {
       const SimTime end = rnd(8) == 0 ? ReservationProfile::kForever
                                       : start + 1 + static_cast<SimTime>(rnd(60));
       const int nodes = 1 + static_cast<int>(rnd(3));
-      if (rnd(3) == 0) {
-        profile.release(start, end, nodes);
-        ref.ops.emplace_back(start, end, nodes);
-      } else {
-        profile.reserve(start, end, nodes);
-        ref.ops.emplace_back(start, end, -nodes);
-      }
+      profile.reserve(start, end, nodes);
+      ref.ops.emplace_back(start, end, -nodes);
     }
     for (SimTime t = 0; t < 200; t += 7) {
       ASSERT_EQ(profile.available_at(t), ref.available_at(t)) << "round " << round

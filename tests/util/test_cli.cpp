@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace sdsched {
 namespace {
@@ -36,9 +38,21 @@ TEST(CliArgs, MissingUsesFallback) {
   EXPECT_FALSE(args.get_bool("verbose", false));
 }
 
-TEST(CliArgs, MalformedNumberFallsBack) {
-  const auto args = make_args({"--jobs=abc"});
-  EXPECT_EQ(args.get_int("jobs", 3), 3);
+TEST(CliArgs, MalformedNumberThrows) {
+  EXPECT_THROW((void)make_args({"--jobs=abc"}).get_int("jobs", 3), std::invalid_argument);
+  EXPECT_THROW((void)make_args({"--scale=x"}).get_double("scale", 1.0), std::invalid_argument);
+  // Trailing garbage is rejected, not read as its numeric prefix.
+  EXPECT_THROW((void)make_args({"--seconds=5s"}).get_double("seconds", 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_args({"--jobs=12abc"}).get_int("jobs", 3), std::invalid_argument);
+  EXPECT_THROW((void)make_args({"--jobs="}).get_int("jobs", 3), std::invalid_argument);
+  try {
+    (void)make_args({"--jobs=abc"}).get_int("jobs", 3);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(make_args({"--jobs=-7"}).get_int("jobs", 3), -7);
+  EXPECT_DOUBLE_EQ(make_args({"--seconds=2.5"}).get_double("seconds", 1.0), 2.5);
 }
 
 TEST(CliArgs, BoolSpellings) {
