@@ -691,8 +691,8 @@ int run_sd_pass(int argc, char** argv) {
                 s.p95_ns, s.flips_per_sec);
   }
   std::printf("\nbitmap is the O(1)-flip word index schedulers use; machine_scan is the\n"
-              "raw ordered-set walk (its flips ride inside the allocation path — not\n"
-              "measured). Picks are byte-identical across the two tiers.\n");
+              "oracle's id-ordered node-table scan (it keeps no free record, so it\n"
+              "has no flips to measure). Picks are byte-identical across the two tiers.\n");
 
   // CI regression guard: the bitmap pick p95 at the largest machine must
   // stay inside the budget (generous — the point is catching a complexity

@@ -5,6 +5,7 @@
 //
 //   ./energy_study [--jobs=N] [--nodes=N]
 #include <cstdio>
+#include <stdexcept>
 
 #include "api/experiment.h"
 #include "util/cli.h"
@@ -12,7 +13,7 @@
 #include "workload/app_profiles.h"
 #include "workload/cirne.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sdsched;
   const CliArgs args(argc, argv);
 
@@ -74,4 +75,8 @@ int main(int argc, char** argv) {
       "packing density, which SD-Policy improves via node sharing (Fig. 9's\n"
       "-6%% on MN4 came mostly from the shorter, denser schedule).\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag (--jobs=abc) is a usage error, not a crash.
+  std::fprintf(stderr, "%s: %s\n", "energy_study", e.what());
+  return 2;
 }

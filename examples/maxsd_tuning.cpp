@@ -5,6 +5,7 @@
 //
 //   ./maxsd_tuning [--jobs=N] [--nodes=N] [--seed=N]
 #include <cstdio>
+#include <stdexcept>
 
 #include "api/experiment.h"
 #include "util/cli.h"
@@ -12,7 +13,7 @@
 #include "util/table.h"
 #include "workload/cirne.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sdsched;
   const CliArgs args(argc, argv);
 
@@ -54,4 +55,8 @@ int main(int argc, char** argv) {
       "high cut-offs chase system averages at some mates' expense. The paper\n"
       "settled on MAXSD 10 for CEA-Curie and notes DynAVGSD adapts by itself.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag (--jobs=abc) is a usage error, not a crash.
+  std::fprintf(stderr, "%s: %s\n", "maxsd_tuning", e.what());
+  return 2;
 }

@@ -4,6 +4,7 @@
 //
 //   ./quickstart [--jobs=N] [--nodes=N] [--seed=N]
 #include <cstdio>
+#include <stdexcept>
 
 #include "api/experiment.h"
 #include "api/simulation.h"
@@ -12,7 +13,7 @@
 #include "workload/cirne.h"
 #include "workload/workload_stats.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sdsched;
   const CliArgs args(argc, argv);
 
@@ -57,4 +58,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sd.summary.guests),
               static_cast<unsigned long long>(sd.summary.mates));
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag (--jobs=abc) is a usage error, not a crash.
+  std::fprintf(stderr, "%s: %s\n", "quickstart", e.what());
+  return 2;
 }

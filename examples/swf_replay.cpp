@@ -9,6 +9,7 @@
 // file, and replayed — so the example is runnable out of the box and also
 // documents the SWF round-trip.
 #include <cstdio>
+#include <stdexcept>
 
 #include "api/experiment.h"
 #include "util/cli.h"
@@ -17,7 +18,7 @@
 #include "workload/synthetic_logs.h"
 #include "workload/workload_stats.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sdsched;
   const CliArgs args(argc, argv);
 
@@ -70,4 +71,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.policy.summary.guests),
               static_cast<unsigned long long>(result.policy.summary.mates));
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag (--jobs=abc) is a usage error, not a crash.
+  std::fprintf(stderr, "%s: %s\n", "swf_replay", e.what());
+  return 2;
 }

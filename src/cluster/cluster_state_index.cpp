@@ -28,7 +28,8 @@ ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
   node_class_.resize(static_cast<std::size_t>(nodes));
 
   // Group nodes by attribute signature: attributes are static, so the
-  // partition is built once and only the free counts move afterwards.
+  // partition is built once and only the release maps and bitmap move
+  // afterwards.
   for (int id = 0; id < nodes; ++id) {
     const NodeAttributes& attrs = machine_.node(id).attributes();
     int cls = -1;
@@ -40,11 +41,10 @@ ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
     }
     if (cls < 0) {
       cls = static_cast<int>(classes_.size());
-      classes_.push_back(AttrClass{attrs, 0, 0, {}});
+      classes_.push_back(AttrClass{attrs, 0, {}});
     }
     node_class_[static_cast<std::size_t>(id)] = cls;
     ++classes_[static_cast<std::size_t>(cls)].total;
-    ++classes_[static_cast<std::size_t>(cls)].free;
   }
   all_classes_.resize(classes_.size());
   for (std::size_t c = 0; c < classes_.size(); ++c) all_classes_[c] = static_cast<int>(c);
@@ -73,24 +73,14 @@ void ClusterStateIndex::refresh_node(int node_id) {
   SimTime& slot = node_free_at_[static_cast<std::size_t>(node_id)];
   if (free_at == slot) return;
 
-  AttrClass& cls = classes_[static_cast<std::size_t>(
-      node_class_[static_cast<std::size_t>(node_id)])];
+  std::map<SimTime, int>& busy = classes_[static_cast<std::size_t>(
+      node_class_[static_cast<std::size_t>(node_id)])].busy;
   if (slot != kEmptyNode) {
-    const auto it = busy_counts_.find(slot);
-    assert(it != busy_counts_.end() && "indexed free_at missing from busy_counts");
-    if (it != busy_counts_.end() && --it->second == 0) busy_counts_.erase(it);
-    const auto cit = cls.busy.find(slot);
-    assert(cit != cls.busy.end() && "indexed free_at missing from class busy map");
-    if (cit != cls.busy.end() && --cit->second == 0) cls.busy.erase(cit);
-    --occupied_nodes_;
-    ++cls.free;
+    const auto it = busy.find(slot);
+    assert(it != busy.end() && "indexed free_at missing from class busy map");
+    if (it != busy.end() && --it->second == 0) busy.erase(it);
   }
-  if (free_at != kEmptyNode) {
-    ++busy_counts_[free_at];
-    ++cls.busy[free_at];
-    ++occupied_nodes_;
-    --cls.free;
-  }
+  if (free_at != kEmptyNode) ++busy[free_at];
   // The free-node bitmap cares only about emptiness flips, not about a
   // busy node's release time moving — each flip is O(1) word maintenance.
   const bool was_free = slot == kEmptyNode;
@@ -120,14 +110,33 @@ void ClusterStateIndex::on_predicted_end_changed(JobId job) {
 
 void ClusterStateIndex::busy_groups(SimTime now,
                                     std::vector<std::pair<SimTime, int>>& out) const {
-  out.clear();
+  release_groups(all_classes_, now, out);
+}
+
+void ClusterStateIndex::release_groups(const std::vector<int>& classes, SimTime now,
+                                       std::vector<std::pair<SimTime, int>>& out) const {
   // Overdue occupants (free_at <= now): assume imminent completion at now+1,
   // exactly as the full-scan profile build always did.
-  auto it = busy_counts_.begin();
-  int overdue = 0;
-  for (; it != busy_counts_.end() && it->first <= now + 1; ++it) overdue += it->second;
-  if (overdue > 0) out.emplace_back(now + 1, overdue);
-  for (; it != busy_counts_.end(); ++it) out.emplace_back(it->first, it->second);
+  const auto append = [now, &out](const std::map<SimTime, int>& busy) {
+    out.clear();
+    auto it = busy.begin();
+    int overdue = 0;
+    for (; it != busy.end() && it->first <= now + 1; ++it) overdue += it->second;
+    if (overdue > 0) out.emplace_back(now + 1, overdue);
+    for (; it != busy.end(); ++it) out.emplace_back(it->first, it->second);
+  };
+  if (classes.size() == 1) {
+    append(classes_[static_cast<std::size_t>(classes.front())].busy);
+    return;
+  }
+  // Machines with attribute overrides only: a transient merge map is fine.
+  std::map<SimTime, int> merged;
+  for (const int c : classes) {
+    for (const auto& [free_at, nodes] : classes_[static_cast<std::size_t>(c)].busy) {
+      merged[free_at] += nodes;
+    }
+  }
+  append(merged);
 }
 
 int ClusterStateIndex::eligible_node_count(const JobConstraints& constraints) const {
@@ -140,10 +149,12 @@ int ClusterStateIndex::eligible_node_count(const JobConstraints& constraints) co
 }
 
 int ClusterStateIndex::eligible_free_count(const JobConstraints& constraints) const {
-  if (constraints.unconstrained()) return machine_.free_node_count();
+  if (constraints.unconstrained()) return free_runs_.free_count();
   int free = 0;
-  for (const AttrClass& cls : classes_) {
-    if (node_satisfies(cls.attributes, constraints)) free += cls.free;
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    if (node_satisfies(classes_[c].attributes, constraints)) {
+      free += free_runs_.free_count_of_class(static_cast<int>(c));
+    }
   }
   return free;
 }
@@ -173,7 +184,7 @@ std::optional<std::vector<int>> ClusterStateIndex::pick_from_bitmap(
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     if (node_satisfies(classes_[c].attributes, *constraints)) {
       eligible.push_back(static_cast<int>(c));
-      eligible_free += classes_[c].free;
+      eligible_free += free_runs_.free_count_of_class(static_cast<int>(c));
     }
   }
   if (eligible_free < count) return std::nullopt;
@@ -200,20 +211,11 @@ int ClusterStateIndex::node_count_for_mask(std::uint64_t mask) const {
 
 void ClusterStateIndex::busy_groups_for_mask(
     std::uint64_t mask, SimTime now, std::vector<std::pair<SimTime, int>>& out) const {
-  out.clear();
-  // Merge the selected classes' (free_at -> count) maps, then clamp exactly
-  // as busy_groups() does. Constrained jobs are rare, so a transient merge
-  // map is fine here.
-  std::map<SimTime, int> merged;
+  std::vector<int> selected;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (((mask >> c) & 1u) == 0) continue;
-    for (const auto& [free_at, nodes] : classes_[c].busy) merged[free_at] += nodes;
+    if ((mask >> c) & 1u) selected.push_back(static_cast<int>(c));
   }
-  auto it = merged.begin();
-  int overdue = 0;
-  for (; it != merged.end() && it->first <= now + 1; ++it) overdue += it->second;
-  if (overdue > 0) out.emplace_back(now + 1, overdue);
-  for (; it != merged.end(); ++it) out.emplace_back(it->first, it->second);
+  release_groups(selected, now, out);
 }
 
 bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
@@ -222,9 +224,7 @@ bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
     return false;
   };
 
-  std::map<SimTime, int> expect_counts;
   int expect_occupied = 0;
-  std::vector<int> expect_class_free(classes_.size(), 0);
   std::vector<std::map<SimTime, int>> expect_class_busy(classes_.size());
   std::vector<bool> is_free(static_cast<std::size_t>(machine_.node_count()), false);
   for (int id = 0; id < machine_.node_count(); ++id) {
@@ -237,38 +237,29 @@ bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
     }
     const int cls = node_class_[static_cast<std::size_t>(id)];
     if (expect == kEmptyNode) {
-      ++expect_class_free[static_cast<std::size_t>(cls)];
       is_free[static_cast<std::size_t>(id)] = true;
     } else {
-      ++expect_counts[expect];
       ++expect_class_busy[static_cast<std::size_t>(cls)][expect];
       ++expect_occupied;
     }
   }
-  if (busy_counts_ != expect_counts) return fail("busy_counts diverged from node scan");
-  if (occupied_nodes_ != expect_occupied) return fail("occupied_nodes diverged");
-  if (occupied_nodes_ != machine_.occupied_nodes()) {
-    return fail("occupied_nodes diverged from machine");
+  if (machine_.occupied_nodes() != expect_occupied) {
+    std::ostringstream oss;
+    oss << "machine occupied_nodes " << machine_.occupied_nodes() << " != scanned "
+        << expect_occupied;
+    return fail(oss.str());
   }
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (classes_[c].free != expect_class_free[c]) {
-      std::ostringstream oss;
-      oss << "attribute class " << c << ": indexed free " << classes_[c].free
-          << " != scanned " << expect_class_free[c];
-      return fail(oss.str());
-    }
     if (classes_[c].busy != expect_class_busy[c]) {
       std::ostringstream oss;
       oss << "attribute class " << c << ": busy map diverged from node scan";
       return fail(oss.str());
     }
   }
-  // Free-node bitmap: every bit and the summary invariant against the scan.
+  // Free-node bitmap: every bit, the summary invariant and the per-class
+  // free counts against the scan.
   std::string runs_diag;
   if (!free_runs_.check_consistent(is_free, &runs_diag)) return fail(runs_diag);
-  if (free_runs_.free_count() != machine_.free_node_count()) {
-    return fail("free-node bitmap free count diverged from machine");
-  }
   // The class partition must reproduce the machine's own constraint answers.
   for (const AttrClass& cls : classes_) {
     JobConstraints probe;

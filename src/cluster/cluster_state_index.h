@@ -9,31 +9,31 @@
 //
 //  * per-node `free_at` — the latest predicted end among the node's
 //    occupants (the time backfill's reservation profile expects the node
-//    back), plus a sorted (free_at -> node count) map over occupied nodes
-//    from which a ReservationProfile base snapshot is assembled in
-//    O(distinct release times);
-//  * per-attribute-class eligible/free node counts, making constraint
-//    filtering (§3.2.4) O(classes) instead of O(nodes);
-//  * per-attribute-class (free_at -> node count) maps, from which the
-//    per-class reservation-profile layers (constraint-class-aware earliest
-//    starts for constrained jobs) are assembled via busy_groups_for_mask();
+//    back);
+//  * per-attribute-class (free_at -> node count) release maps over occupied
+//    nodes, from which a ReservationProfile base snapshot is assembled in
+//    O(distinct release times) — the whole machine via busy_groups(), the
+//    per-class profile layers for constrained jobs (§3.2.4) via
+//    busy_groups_for_mask();
 //  * a class-partitioned bitmap FreeNodeIndex over free node ids (64 nodes
-//    per word plus a summary level), so free/busy flips are O(1) bit
-//    maintenance and find_free_nodes — called from the scheduling pass on
-//    every start and from SD-Policy's mate-combination DFS — resolves with
-//    popcount/ctz word scans instead of walking the ordered free set;
+//    per word plus a summary level, with per-class free counts), so
+//    free/busy flips are O(1) bit maintenance and find_free_nodes — called
+//    from the scheduling pass on every start and from SD-Policy's
+//    mate-combination DFS — resolves with popcount/ctz word scans;
 //  * a version counter, so schedulers can reuse their profile base across
 //    passes when nothing changed.
 //
-// The index is the only view of cluster state a scheduling pass reads.
-// check_consistent() cross-checks everything against the brute-force node
-// scan the index replaced, down to every free-node bitmap bit and the
-// summary invariant (see free_node_index.h). The SDSCHED_CROSSCHECK
-// environment switch, read once per index (crosscheck()), turns on every
-// brute-force re-derivation at runtime: each backfill pass runs
-// check_consistent(), find_free_nodes() compares every pick against
-// Machine::find_free_nodes, and SD-Policy re-proves its MateRegistry,
-// scan-ledger skips and cut-off cache. Any divergence throws
+// Node occupancy itself lives in the Machine's node table; these are the
+// only derived records, and each node flip writes one release map entry and
+// one bitmap bit. The index is the only view of cluster state a scheduling
+// pass reads. check_consistent() cross-checks everything against the
+// brute-force node scan the index replaced, down to every free-node bitmap
+// bit and the summary invariant (see free_node_index.h). The
+// SDSCHED_CROSSCHECK environment switch, read once per index
+// (crosscheck()), turns on every brute-force re-derivation at runtime: each
+// backfill pass runs check_consistent(), find_free_nodes() compares every
+// pick against Machine::find_free_nodes, and SD-Policy re-proves its
+// MateRegistry, scan-ledger skips and cut-off cache. Any divergence throws
 // std::logic_error with the diagnosis.
 #pragma once
 
@@ -93,12 +93,10 @@ class ClusterStateIndex final : public MachineObserver {
   /// Free nodes satisfying `constraints` — O(attribute classes).
   [[nodiscard]] int eligible_free_count(const JobConstraints& constraints) const;
 
-  [[nodiscard]] int occupied_node_count() const noexcept { return occupied_nodes_; }
-
   /// Drop-in indexed replacement for Machine::find_free_nodes: same node
   /// ids (lowest-first; earliest adequate run for contiguous requests),
   /// but resolved from the bitmap words — O(words/64 + words touched)
-  /// worst case instead of O(free nodes). `count` must be >= 1. Under
+  /// worst case instead of O(nodes). `count` must be >= 1. Under
   /// crosscheck() every pick is compared against the machine scan.
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
@@ -122,9 +120,6 @@ class ClusterStateIndex final : public MachineObserver {
   void busy_groups_for_mask(std::uint64_t mask, SimTime now,
                             std::vector<std::pair<SimTime, int>>& out) const;
 
-  /// The class-partitioned free-node bitmap (tests).
-  [[nodiscard]] const FreeNodeIndex& free_runs() const noexcept { return free_runs_; }
-
   /// The SDSCHED_CROSSCHECK switch as read at construction: unset, empty
   /// or "0" is off. Every brute-force crosscheck reads it from here and
   /// throws std::logic_error with the diagnosis on divergence.
@@ -136,9 +131,14 @@ class ClusterStateIndex final : public MachineObserver {
   [[nodiscard]] bool check_consistent(std::string* diagnosis = nullptr) const;
 
  private:
-  /// Recompute one node's free_at and class/free bookkeeping; bumps the
-  /// version only when something actually changed.
+  /// Recompute one node's free_at, its class release map entry and its
+  /// bitmap bit; bumps the version only when something actually changed.
   void refresh_node(int node_id);
+
+  /// busy_groups() over the listed classes: one class's release map is
+  /// walked directly, several are merged first.
+  void release_groups(const std::vector<int>& classes, SimTime now,
+                      std::vector<std::pair<SimTime, int>>& out) const;
 
   [[nodiscard]] SimTime scan_free_at(int node_id) const;
 
@@ -151,7 +151,6 @@ class ClusterStateIndex final : public MachineObserver {
   struct AttrClass {
     NodeAttributes attributes;
     int total = 0;
-    int free = 0;
     std::map<SimTime, int> busy;  ///< free_at -> occupied node count, this class
   };
 
@@ -159,12 +158,10 @@ class ClusterStateIndex final : public MachineObserver {
   const JobRegistry& jobs_;
 
   std::vector<SimTime> node_free_at_;        ///< kEmptyNode for free nodes
-  std::map<SimTime, int> busy_counts_;       ///< free_at -> occupied node count
-  int occupied_nodes_ = 0;
 
   std::vector<AttrClass> classes_;
   std::vector<int> node_class_;              ///< node id -> index into classes_
-  std::vector<int> all_classes_;             ///< 0..classes-1 (pick fast path)
+  std::vector<int> all_classes_;             ///< 0..classes-1
   FreeNodeIndex free_runs_;
 
   std::uint64_t version_ = 0;

@@ -1,10 +1,10 @@
 // Class-partitioned bitmap free-node index: the free side of the
 // ClusterStateIndex.
 //
-// Machine::find_free_nodes walks the ordered free set (and, for constrained
-// requests, filters every free node) on every call — and SD-Policy calls it
-// from inside the mate-combination DFS, so the cost is machine-size-
-// proportional per *evaluated combination*. The PR 5 run-based index made
+// Machine::find_free_nodes scans the node table (and, for constrained
+// requests, filters every free node) on every call — and SD-Policy picks
+// from inside the mate-combination DFS, so a scan would cost machine-size-
+// proportional work per *evaluated combination*. A run-based index made
 // picks O(runs touched), but every free/busy flip still paid O(log runs)
 // tree maintenance on pointer-chasing map nodes. This index is the word-
 // level endgame: per attribute class, a flat vector of 64-bit words (bit i

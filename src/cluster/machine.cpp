@@ -19,9 +19,6 @@ bool node_satisfies(const NodeAttributes& attributes,
   return true;
 }
 
-// An index that subscribes after construction seeds itself from a full scan,
-// so the unnotified free_nodes_ seeding below cannot strand a subscriber.
-// detlint: mutator-ok(construction precedes any observer attachment)
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)), energy_(config_.energy, config_.nodes) {
   assert(config_.nodes > 0);
@@ -42,27 +39,21 @@ Machine::Machine(MachineConfig config)
     const auto it = overrides.find(i);
     nodes_.emplace_back(i, config_.node,
                         it != overrides.end() ? *it->second : config_.attributes);
-    free_nodes_.insert(i);
   }
 }
 
 std::optional<std::vector<int>> Machine::find_free_nodes(
     int count, const JobConstraints* constraints) const {
   if (count > free_node_count()) return std::nullopt;
-  if (constraints == nullptr || constraints->unconstrained()) {
-    std::vector<int> picked;
-    picked.reserve(count);
-    for (const int id : free_nodes_) {
-      picked.push_back(id);
-      if (static_cast<int>(picked.size()) == count) break;
-    }
-    return picked;
-  }
-
+  const bool unconstrained = constraints == nullptr || constraints->unconstrained();
   std::vector<int> eligible;
-  for (const int id : free_nodes_) {
-    if (node_satisfies(nodes_[id].attributes(), *constraints)) eligible.push_back(id);
+  for (const Node& node : nodes_) {
+    if (!node.empty()) continue;
+    if (!unconstrained && !node_satisfies(node.attributes(), *constraints)) continue;
+    eligible.push_back(node.id());
+    if (unconstrained && static_cast<int>(eligible.size()) == count) return eligible;
   }
+  if (unconstrained) return eligible;
   if (static_cast<int>(eligible.size()) < count) return std::nullopt;
   if (!constraints->contiguous) {
     eligible.resize(count);
@@ -108,15 +99,6 @@ void Machine::commit(SimTime span, int cpu_delta, int node_delta) {
   energy_.observe(last_touch_, busy_cores_, occupied_nodes());
 }
 
-// detlint: mutator-ok(notify-path helper; every caller notifies after syncing)
-void Machine::sync_free_state(int node_id) {
-  if (nodes_[node_id].empty()) {
-    free_nodes_.insert(node_id);
-  } else {
-    free_nodes_.erase(node_id);
-  }
-}
-
 bool Machine::allocate_exclusive(SimTime now, JobId job, const std::vector<int>& node_ids,
                                  const std::vector<int>& cpus) {
   assert(node_ids.size() == cpus.size());
@@ -132,8 +114,8 @@ bool Machine::allocate_exclusive(SimTime now, JobId job, const std::vector<int>&
     assert(ok);
     (void)ok;
     busy_cores_ += held;
+    ++occupied_nodes_;
     added_cores += held;
-    sync_free_state(id);
     notify(id);
   }
   commit(backdated, added_cores, static_cast<int>(node_ids.size()));
@@ -145,7 +127,7 @@ bool Machine::add_share(SimTime now, JobId job, int node_id, int cpus, bool is_o
   const bool was_empty = nodes_.at(node_id).empty();
   if (!nodes_[node_id].add(job, cpus, is_owner)) return false;
   busy_cores_ += cpus;
-  sync_free_state(node_id);
+  if (was_empty) ++occupied_nodes_;
   notify(node_id);
   commit(backdated, cpus, was_empty ? 1 : 0);
   return true;
@@ -168,7 +150,7 @@ int Machine::remove_share(SimTime now, JobId job, int node_id) {
   const int freed = nodes_.at(node_id).remove(job);
   busy_cores_ -= freed;
   const bool emptied = freed > 0 && nodes_[node_id].empty();
-  sync_free_state(node_id);
+  if (emptied) --occupied_nodes_;
   if (freed > 0) notify(node_id);
   commit(backdated, -freed, emptied ? -1 : 0);
   return freed;
@@ -180,10 +162,12 @@ void Machine::release_all(SimTime now, JobId job, const std::vector<int>& node_i
   int emptied = 0;
   for (const int id : node_ids) {
     const int freed = nodes_.at(id).remove(job);
-    if (freed > 0 && nodes_[id].empty()) ++emptied;
+    if (freed > 0 && nodes_[id].empty()) {
+      ++emptied;
+      --occupied_nodes_;
+    }
     busy_cores_ -= freed;
     freed_cores += freed;
-    sync_free_state(id);
     if (freed > 0) notify(id);
   }
   commit(backdated, -freed_cores, -emptied);

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -54,12 +53,10 @@ class Machine {
   [[nodiscard]] int cores_per_node() const noexcept { return nodes_.front().total_cores(); }
   [[nodiscard]] int total_cores() const noexcept { return node_count() * cores_per_node(); }
   [[nodiscard]] int free_node_count() const noexcept {
-    return static_cast<int>(free_nodes_.size());
+    return node_count() - occupied_nodes_;
   }
   [[nodiscard]] int busy_cores() const noexcept { return busy_cores_; }
-  [[nodiscard]] int occupied_nodes() const noexcept {
-    return node_count() - free_node_count();
-  }
+  [[nodiscard]] int occupied_nodes() const noexcept { return occupied_nodes_; }
   [[nodiscard]] double utilization() const noexcept {
     return static_cast<double>(busy_cores_) / static_cast<double>(total_cores());
   }
@@ -69,7 +66,9 @@ class Machine {
 
   /// Pick `count` free nodes (lowest ids). Empty optional if insufficient.
   /// With `constraints`, only nodes satisfying them are eligible, and
-  /// `constraints->contiguous` requires consecutive node ids.
+  /// `constraints->contiguous` requires consecutive node ids. An O(nodes)
+  /// scan of the node table: the oracle ClusterStateIndex::find_free_nodes
+  /// is checked against, not a scheduling path.
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
@@ -133,8 +132,6 @@ class Machine {
   /// have no such constraint — an out-of-order conflict fails loudly.
   void commit(SimTime span, int cpu_delta, int node_delta);
 
-  void sync_free_state(int node_id);
-
   void notify(int node_id) {
     if (observer_ != nullptr) observer_->on_node_occupancy_changed(node_id);
   }
@@ -142,8 +139,8 @@ class Machine {
   MachineObserver* observer_ = nullptr;
   MachineConfig config_;
   std::vector<Node> nodes_;
-  std::set<int> free_nodes_;  ///< ordered -> deterministic lowest-first picks
   int busy_cores_ = 0;
+  int occupied_nodes_ = 0;  ///< non-empty nodes
   EnergyAccountant energy_;
   double core_seconds_ = 0.0;
   SimTime last_touch_ = 0;

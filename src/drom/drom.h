@@ -1,20 +1,16 @@
-// DROM (Dynamic Resource Ownership Management) registry — the simulator's
-// analogue of the DROM API the paper integrates into slurmd/slurmstepd
-// (§2.1, §3.3).
+// DROM (Dynamic Resource Ownership Management) — the simulator's analogue of
+// the DROM API the paper integrates into slurmd/slurmstepd (§2.1, §3.3).
 //
 // Real DROM tracks attached processes and their CPU masks and lets the node
 // manager change them at malleability points. Here a mask is modelled as a
-// per-socket core count; the registry records every (job, node) attachment,
-// its current mask, and counts shrink/expand transitions so tests and the
-// overhead model can observe them.
+// per-socket core count. A mask is a pure function of the node's occupant
+// list, so none is stored: NodeManager::mask derives it on demand with
+// distribute_cpu (Listing 3). The registry keeps only the shrink/expand
+// transition counters, for the report and tests.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <vector>
-
-#include "sim/event.h"
 
 namespace sdsched {
 
@@ -31,30 +27,17 @@ struct CpuMask {
 
 class DromRegistry {
  public:
-  /// Attach a process of `job` on `node` with an initial mask (DROM_run).
-  void attach(JobId job, int node, CpuMask mask);
+  /// A process's mask went from `before` to `after` cores: a narrower mask
+  /// is a shrink, a wider one an expand, an equal width (migration) neither.
+  void record_resize(int before, int after) noexcept {
+    if (after < before) ++shrink_ops_;
+    if (after > before) ++expand_ops_;
+  }
 
-  /// Detach on job end (DROM_clean). No-op if absent.
-  void detach(JobId job, int node);
-  void detach_all(JobId job);
-
-  /// Update the mask; the process adapts at its next malleability point.
-  /// Returns false if the process is not attached.
-  bool set_mask(JobId job, int node, CpuMask mask);
-
-  [[nodiscard]] std::optional<CpuMask> mask(JobId job, int node) const;
-  [[nodiscard]] bool attached(JobId job, int node) const;
-  [[nodiscard]] std::size_t process_count() const noexcept { return masks_.size(); }
-
-  /// Jobs attached on a node (deterministic order).
-  [[nodiscard]] std::vector<JobId> jobs_on_node(int node) const;
-
-  // Transition counters (for the overhead model and tests).
   [[nodiscard]] std::uint64_t shrink_ops() const noexcept { return shrink_ops_; }
   [[nodiscard]] std::uint64_t expand_ops() const noexcept { return expand_ops_; }
 
  private:
-  std::map<std::pair<JobId, int>, CpuMask> masks_;
   std::uint64_t shrink_ops_ = 0;
   std::uint64_t expand_ops_ = 0;
 };

@@ -22,7 +22,7 @@ void erase_id(std::vector<JobId>& ids, JobId id) {
 
 }  // namespace
 
-void NodeManager::refresh_masks(int node_id) {
+std::optional<CpuMask> NodeManager::mask(JobId job, int node_id) const {
   const Node& node = machine_.node(node_id);
   std::vector<CpuDemand> demands;
   demands.reserve(node.occupant_count());
@@ -30,12 +30,10 @@ void NodeManager::refresh_masks(int node_id) {
     demands.push_back(CpuDemand{occ.job, occ.cpus});
   }
   const NodeConfig config{node.sockets(), node.cores_per_socket()};
-  const auto placements = distribute_cpu(config, demands);
-  for (const auto& placement : placements) {
-    if (!drom_.set_mask(placement.job, node_id, placement.mask)) {
-      drom_.attach(placement.job, node_id, placement.mask);
-    }
+  for (auto& placement : distribute_cpu(config, demands)) {
+    if (placement.job == job) return std::move(placement.mask);
   }
+  return std::nullopt;
 }
 
 void NodeManager::start_static(SimTime now, JobId job_id, const std::vector<int>& nodes) {
@@ -49,7 +47,6 @@ void NodeManager::start_static(SimTime now, JobId job_id, const std::vector<int>
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const int held = std::max(1, split[i]);
     job.shares.push_back(NodeShare{nodes[i], held, held});
-    refresh_masks(nodes[i]);
   }
 }
 
@@ -68,6 +65,7 @@ std::vector<JobId> NodeManager::start_guest(SimTime now, JobId guest_id,
                                                  entry.mate_kept_cpus);
       assert(resized && "mate shrink failed");
       (void)resized;
+      drom_.record_resize(mate_share->cpus, entry.mate_kept_cpus);
       mate_share->cpus = entry.mate_kept_cpus;
       ++mate.pending_reconfig_ops;
       if (std::find(affected.begin(), affected.end(), entry.mate) == affected.end()) {
@@ -80,7 +78,6 @@ std::vector<JobId> NodeManager::start_guest(SimTime now, JobId guest_id,
     (void)placed;
     guest.shares.push_back(
         NodeShare{entry.node, entry.guest_cpus, std::max(1, entry.guest_static_cpus)});
-    refresh_masks(entry.node);
   }
 
   guest.started_as_guest = true;
@@ -104,6 +101,7 @@ bool NodeManager::expand_on_node(SimTime now, Job& job, int node_id, int availab
   const bool resized = machine_.resize_share(now, job.spec.id, node_id, target);
   assert(resized);
   (void)resized;
+  drom_.record_resize(share->cpus, target);
   share->cpus = target;
   ++job.pending_reconfig_ops;
   return true;
@@ -117,7 +115,6 @@ std::vector<JobId> NodeManager::finish_job(SimTime now, JobId job_id) {
     const int freed = machine_.remove_share(now, job_id, node_id);
     assert(freed == share.cpus);
     (void)freed;
-    drom_.detach(job_id, node_id);
 
     // Redistribute to survivors (Listing 3): owners reclaim what a guest
     // releases; when an owner leaves early its cores go to the remaining
@@ -142,7 +139,6 @@ std::vector<JobId> NodeManager::finish_job(SimTime now, JobId job_id) {
           affected.push_back(occ.job);
         }
       }
-      refresh_masks(node_id);
     }
   }
   job.shares.clear();

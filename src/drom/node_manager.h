@@ -3,8 +3,7 @@
 //
 // The NodeManager executes placement plans decided by the scheduler:
 //  * static exclusive starts,
-//  * co-scheduled guest starts (shrink mates, place guest, re-derive every
-//    occupant's socket mask via distribute_cpu),
+//  * co-scheduled guest starts (shrink mates, place guest),
 //  * job completions (return cores to the owner when a guest leaves;
 //    redistribute to the remaining malleable occupants when an owner leaves
 //    early — the §4.3 unbalance case).
@@ -13,11 +12,14 @@
 // application has req_cpus worth of parallelism in total, so extra cores
 // beyond the static split cannot be put to work.
 //
-// Every mutation keeps three views consistent: Machine occupancy, Job.shares
-// and the DROM masks. Methods return the set of jobs whose core counts
-// changed so the simulation kernel can re-integrate their progress.
+// Every mutation keeps Machine occupancy and Job.shares consistent and
+// counts each share shrink/expand in the DROM registry; socket masks are
+// derived from the node's occupants on demand (mask()). Methods return the
+// set of jobs whose core counts changed so the simulation kernel can
+// re-integrate their progress.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "cluster/machine.h"
@@ -54,11 +56,11 @@ class NodeManager {
 
   [[nodiscard]] const DromRegistry& drom() const noexcept { return drom_; }
 
- private:
-  /// Recompute socket masks for every occupant of `node_id` (Listing 3
-  /// step 1) and push them through the DROM registry.
-  void refresh_masks(int node_id);
+  /// `job`'s socket mask on `node_id` (Listing 3 step 1): distribute_cpu
+  /// over the node's current occupants. nullopt if the job is not there.
+  [[nodiscard]] std::optional<CpuMask> mask(JobId job, int node_id) const;
 
+ private:
   /// Grow `job`'s share on `node_id` up to min(static share, available).
   /// Returns true if the share changed.
   bool expand_on_node(SimTime now, Job& job, int node_id, int available);

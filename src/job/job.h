@@ -110,9 +110,6 @@ struct Job {
 
   [[nodiscard]] int allocated_cpus() const noexcept;
   [[nodiscard]] int min_cpus_per_node() const noexcept;  ///< min share over nodes
-  [[nodiscard]] bool is_sharing() const noexcept {
-    return !mates.empty() || !guests.empty();
-  }
 
   /// Wait time experienced so far (running/completed) or up to `now`.
   [[nodiscard]] SimTime wait_time(SimTime now) const noexcept {

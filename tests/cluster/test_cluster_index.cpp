@@ -49,6 +49,22 @@ MachineConfig interleaved_machine(int nodes) {
   return mc;
 }
 
+/// One attribute class per node (memory grows with the id, every fifth node
+/// on the "ib" network): with more than 64 classes there is no class mask,
+/// and busy_groups() merges every class's release map.
+MachineConfig per_node_class_machine(int nodes) {
+  MachineConfig mc;
+  mc.nodes = nodes;
+  mc.node = NodeConfig{2, 4};
+  for (int id = 0; id < nodes; ++id) {
+    NodeAttributes attrs;
+    attrs.memory_gb = 96 + id;
+    if (id % 5 == 3) attrs.network = "ib";
+    mc.attribute_overrides.emplace_back(id, attrs);
+  }
+  return mc;
+}
+
 struct Cluster {
   explicit Cluster(const MachineConfig& mc = block_machine()) {
     machine.emplace(mc);
@@ -179,7 +195,7 @@ TEST(ClusterStateIndex, EmptyMachineIsConsistent) {
   Cluster c;
   std::string diag;
   EXPECT_TRUE(c.index->check_consistent(&diag)) << diag;
-  EXPECT_EQ(c.index->occupied_node_count(), 0);
+  EXPECT_EQ(c.machine->occupied_nodes(), 0);
   EXPECT_EQ(c.index->version(), 0u);
 
   std::vector<std::pair<SimTime, int>> groups;
@@ -352,7 +368,7 @@ void random_lifecycle(const MachineConfig& mc, int steps) {
     for (const JobId id : c.running) finish(id, now);
     c.running.clear();
     ASSERT_EQ(c.machine->free_node_count(), mc.nodes);
-    ASSERT_EQ(c.index->occupied_node_count(), 0);
+    ASSERT_EQ(c.machine->occupied_nodes(), 0);
     std::vector<std::pair<SimTime, int>> groups;
     c.index->busy_groups(now, groups);
     ASSERT_TRUE(groups.empty());
@@ -366,7 +382,7 @@ void random_lifecycle(const MachineConfig& mc, int steps) {
     c.running.push_back(job);
   }
   ASSERT_EQ(c.machine->free_node_count(), 0);
-  ASSERT_EQ(c.index->occupied_node_count(), mc.nodes);
+  ASSERT_EQ(c.machine->occupied_nodes(), mc.nodes);
   ASSERT_FALSE(c.index->find_free_nodes(1).has_value());
   expect_matches_brute_force(c, now, state);
   now += 50;
@@ -378,6 +394,8 @@ TEST(ClusterStateIndex, RandomizedLifecycleMatchesBruteForce) {
   // 5 and 65 nodes leave the last bitmap word partly used; 5040 is Curie.
   random_lifecycle(interleaved_machine(5), 120);
   random_lifecycle(interleaved_machine(65), 120);
+  // 70 one-node classes: past the 64-class mask limit.
+  random_lifecycle(per_node_class_machine(70), 120);
   random_lifecycle(interleaved_machine(5040), 60);
   random_lifecycle(interleaved_machine(50000), 10);
 }

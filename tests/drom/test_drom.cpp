@@ -5,55 +5,18 @@
 namespace sdsched {
 namespace {
 
-TEST(Drom, AttachAndMaskLookup) {
-  DromRegistry drom;
-  drom.attach(1, 0, CpuMask{{24, 0}});
-  EXPECT_TRUE(drom.attached(1, 0));
-  EXPECT_FALSE(drom.attached(1, 1));
-  const auto mask = drom.mask(1, 0);
-  ASSERT_TRUE(mask.has_value());
-  EXPECT_EQ(mask->total(), 24);
-}
-
 TEST(Drom, SetMaskCountsTransitions) {
   DromRegistry drom;
-  drom.attach(1, 0, CpuMask{{48, 0}});
   EXPECT_EQ(drom.shrink_ops(), 0u);
-  EXPECT_TRUE(drom.set_mask(1, 0, CpuMask{{24, 0}}));
+  drom.record_resize(48, 24);
   EXPECT_EQ(drom.shrink_ops(), 1u);
   EXPECT_EQ(drom.expand_ops(), 0u);
-  EXPECT_TRUE(drom.set_mask(1, 0, CpuMask{{24, 24}}));
+  drom.record_resize(24, 48);
   EXPECT_EQ(drom.expand_ops(), 1u);
   // Same-width mask change (migration) counts as neither.
-  EXPECT_TRUE(drom.set_mask(1, 0, CpuMask{{48, 0}}));
+  drom.record_resize(48, 48);
   EXPECT_EQ(drom.shrink_ops(), 1u);
   EXPECT_EQ(drom.expand_ops(), 1u);
-}
-
-TEST(Drom, SetMaskOnUnattachedFails) {
-  DromRegistry drom;
-  EXPECT_FALSE(drom.set_mask(9, 0, CpuMask{{1}}));
-}
-
-TEST(Drom, DetachRemovesProcess) {
-  DromRegistry drom;
-  drom.attach(1, 0, CpuMask{{8}});
-  drom.attach(1, 1, CpuMask{{8}});
-  drom.detach(1, 0);
-  EXPECT_FALSE(drom.attached(1, 0));
-  EXPECT_TRUE(drom.attached(1, 1));
-  drom.detach_all(1);
-  EXPECT_EQ(drom.process_count(), 0u);
-}
-
-TEST(Drom, JobsOnNodeSortedAndScoped) {
-  DromRegistry drom;
-  drom.attach(5, 0, CpuMask{{8}});
-  drom.attach(2, 0, CpuMask{{8}});
-  drom.attach(3, 1, CpuMask{{8}});
-  EXPECT_EQ(drom.jobs_on_node(0), (std::vector<JobId>{2, 5}));
-  EXPECT_EQ(drom.jobs_on_node(1), (std::vector<JobId>{3}));
-  EXPECT_TRUE(drom.jobs_on_node(2).empty());
 }
 
 TEST(Drom, CpuMaskTotal) {

@@ -40,9 +40,10 @@ TEST_F(NodeManagerTest, StaticStartSetsSharesAndMasks) {
   EXPECT_EQ(job.shares[0].cpus, 48);
   EXPECT_EQ(job.shares[0].static_cpus, 48);
   EXPECT_EQ(machine_.busy_cores(), 96);
-  EXPECT_TRUE(drom_.attached(id, 0));
-  EXPECT_TRUE(drom_.attached(id, 1));
-  EXPECT_EQ(drom_.mask(id, 0)->total(), 48);
+  ASSERT_TRUE(mgr_.mask(id, 0).has_value());
+  ASSERT_TRUE(mgr_.mask(id, 1).has_value());
+  EXPECT_EQ(mgr_.mask(id, 0)->total(), 48);
+  EXPECT_FALSE(mgr_.mask(id, 2).has_value());
 }
 
 TEST_F(NodeManagerTest, StaticStartBalancedSplit) {
@@ -79,10 +80,13 @@ TEST_F(NodeManagerTest, GuestStartShrinksMate) {
   EXPECT_EQ(g.mates, (std::vector<JobId>{mate}));
   EXPECT_EQ(machine_.busy_cores(), 96);
   EXPECT_TRUE(machine_.node(0).shared());
-  // DROM masks reflect the socket split.
-  EXPECT_EQ(drom_.mask(mate, 0)->total(), 24);
-  EXPECT_EQ(drom_.mask(guest, 0)->total(), 24);
-  EXPECT_GE(drom_.shrink_ops(), 2u);
+  // DROM masks reflect the socket split: one socket each (Listing 3).
+  EXPECT_EQ(mgr_.mask(mate, 0)->total(), 24);
+  EXPECT_EQ(mgr_.mask(guest, 0)->total(), 24);
+  EXPECT_EQ(mgr_.mask(mate, 0)->cores_per_socket, (std::vector<int>{24, 0}));
+  EXPECT_EQ(mgr_.mask(guest, 0)->cores_per_socket, (std::vector<int>{0, 24}));
+  EXPECT_EQ(drom_.shrink_ops(), 2u);
+  EXPECT_EQ(drom_.expand_ops(), 0u);
 }
 
 TEST_F(NodeManagerTest, GuestEndRestoresMate) {
@@ -100,7 +104,9 @@ TEST_F(NodeManagerTest, GuestEndRestoresMate) {
   EXPECT_TRUE(m.guests.empty());
   EXPECT_FALSE(machine_.node(0).shared());
   EXPECT_EQ(machine_.busy_cores(), 96);
-  EXPECT_FALSE(drom_.attached(guest, 0));
+  EXPECT_FALSE(mgr_.mask(guest, 0).has_value());
+  EXPECT_EQ(mgr_.mask(mate, 0)->total(), 48);
+  EXPECT_EQ(drom_.expand_ops(), 2u);
 }
 
 TEST_F(NodeManagerTest, MateEndsEarlyGuestExpands) {
@@ -158,7 +164,8 @@ TEST_F(NodeManagerTest, FinishLastOccupantFreesNode) {
   mgr_.finish_job(30, guest);
   EXPECT_EQ(machine_.free_node_count(), 4);
   EXPECT_EQ(machine_.busy_cores(), 0);
-  EXPECT_EQ(drom_.process_count(), 0u);
+  EXPECT_FALSE(mgr_.mask(mate, 0).has_value());
+  EXPECT_FALSE(mgr_.mask(guest, 0).has_value());
 }
 
 TEST_F(NodeManagerTest, GuestOnFreeNodeIsOwner) {
@@ -173,23 +180,40 @@ TEST_F(NodeManagerTest, GuestOnFreeNodeIsOwner) {
 }
 
 TEST_F(NodeManagerTest, CoreConservationThroughChurn) {
-  // Run a start/shrink/finish cycle and verify no cores leak.
+  // Run a start/shrink/finish cycle and verify no cores leak, and that every
+  // occupant's derived mask holds exactly its cores after each step.
+  const auto expect_masks_match = [this](const char* step) {
+    SCOPED_TRACE(step);
+    for (int id = 0; id < machine_.node_count(); ++id) {
+      for (const auto& occ : machine_.node(id).occupants()) {
+        const auto mask = mgr_.mask(occ.job, id);
+        ASSERT_TRUE(mask.has_value()) << "job " << occ.job << " node " << id;
+        EXPECT_EQ(mask->total(), occ.cpus) << "job " << occ.job << " node " << id;
+      }
+    }
+  };
   const JobId a = add_job(96);
   mgr_.start_static(0, a, {0, 1});
+  expect_masks_match("static a");
   const JobId b = add_job(48);
   mgr_.start_static(0, b, {2});
+  expect_masks_match("static b");
   const JobId g = add_job(96);
   mgr_.start_guest(5, g, {{0, a, 24, 24, 48}, {1, a, 24, 24, 48}});
+  expect_masks_match("guest g");
   EXPECT_EQ(machine_.busy_cores(), 96 + 48);
 
   jobs_.at(g).state = JobState::Completed;
   mgr_.finish_job(15, g);
+  expect_masks_match("finish g");
   EXPECT_EQ(machine_.busy_cores(), 96 + 48);
 
   jobs_.at(a).state = JobState::Completed;
   mgr_.finish_job(25, a);
+  expect_masks_match("finish a");
   jobs_.at(b).state = JobState::Completed;
   mgr_.finish_job(30, b);
+  expect_masks_match("finish b");
   EXPECT_EQ(machine_.busy_cores(), 0);
   EXPECT_EQ(machine_.free_node_count(), 4);
 }

@@ -547,35 +547,17 @@ void check_d4(const SourceFile& file, const std::vector<Token>& toks,
         }
         continue;
       }
-      if (!mutation.empty()) continue;
-      if (in_table(kOccupancyMutationCalls, tok.text)) {
-        const std::size_t paren = s.after(i);
-        if (s.at(paren) != nullptr && is_punct(*s.at(paren), "(")) {
-          mutation = tok.text + "()";
-        }
+      if (!mutation.empty() || !in_table(kOccupancyMutationMembers, tok.text)) {
         continue;
       }
-      if (!in_table(kOccupancyMutationMembers, tok.text)) continue;
-      const std::size_t nxt = s.after(i);
-      const Token* n = s.at(nxt);
+      const Token* n = s.at(s.after(i));
       if (n == nullptr) continue;
-      if (tok.text == "free_nodes_" && (is_punct(*n, ".") || is_punct(*n, "->"))) {
-        const Token* call = s.at(s.after(nxt));
-        if (call != nullptr &&
-            (call->text == "insert" || call->text == "erase" ||
-             call->text == "clear" || call->text == "emplace" ||
-             call->text == "extract" || call->text == "merge" ||
-             call->text == "swap")) {
-          mutation = tok.text + "." + call->text + "()";
-        }
-      } else if (tok.text == "busy_cores_") {
-        const Token* prev = s.at(s.before(i));
-        const bool mutating =
-            is_punct(*n, "=") || is_punct(*n, "+=") || is_punct(*n, "-=") ||
-            is_punct(*n, "++") || is_punct(*n, "--") ||
-            (prev != nullptr && (is_punct(*prev, "++") || is_punct(*prev, "--")));
-        if (mutating) mutation = tok.text + " write";
-      }
+      const Token* prev = s.at(s.before(i));
+      const bool mutating =
+          is_punct(*n, "=") || is_punct(*n, "+=") || is_punct(*n, "-=") ||
+          is_punct(*n, "++") || is_punct(*n, "--") ||
+          (prev != nullptr && (is_punct(*prev, "++") || is_punct(*prev, "--")));
+      if (mutating) mutation = tok.text + " write";
     }
     if (mutation.empty() || has_notify) continue;
     PendingFinding p;

@@ -2,17 +2,10 @@
 // MachineObserver notify path, so a subscribed ClusterStateIndex /
 // FreeNodeIndex would silently go stale. Analyzed under the fake path
 // "cluster/machine.cpp" (the rule's scope); never compiled.
-#include <set>
-
 namespace fixture {
 
 class Machine {
  public:
-  // finding: mutates free_nodes_ without notify
-  void mark_busy(int node_id) {
-    free_nodes_.erase(node_id);
-  }
-
   // finding: writes busy_cores_ without notify
   bool grow(int node_id, int cpus) {
     if (cpus <= 0) return false;
@@ -21,21 +14,23 @@ class Machine {
     return true;
   }
 
-  // finding: calls the sync helper without notify
-  void quiet_release(int node_id) {
-    sync_free_state(node_id);
+  // finding: pre-increments occupied_nodes_ without notify
+  void mark_busy(int node_id) {
+    ++occupied_nodes_;
+    (void)node_id;
+  }
+
+  // finding: assigns both counters without notify
+  void reset() {
+    busy_cores_ = 0;
+    occupied_nodes_ = 0;
   }
 
  private:
-  // finding: the helper itself mutates free_nodes_ and cannot notify
-  void sync_free_state(int node_id) {
-    free_nodes_.insert(node_id);
-  }
-
   void notify(int node_id) { (void)node_id; }
 
-  std::set<int> free_nodes_;
   int busy_cores_ = 0;
+  int occupied_nodes_ = 0;
 };
 
 }  // namespace fixture

@@ -1,32 +1,29 @@
-// Fixture: D4 waivers — mutators that legitimately cannot notify carry a
-// mutator-ok waiver on the function header (or the line above it). Mirrors
-// the real machine.cpp waivers (constructor and sync_free_state). Analyzed
-// under the fake path "cluster/machine.cpp"; never compiled. (Prose must
-// not spell the waiver marker verbatim — it would scan as a stale waiver.)
-#include <set>
-
+// Fixture: D4 waivers — a mutator that legitimately cannot notify carries a
+// mutator-ok waiver on the function header (or the line above it). The real
+// machine.cpp needs none: every counter write sits beside its notify call.
+// Analyzed under the fake path "cluster/machine.cpp"; never compiled.
+// (Prose must not spell the waiver marker verbatim — it would scan as a
+// stale waiver.)
 namespace fixture {
 
 class Machine {
  public:
   // detlint: mutator-ok(construction precedes any observer attachment)
-  explicit Machine(int nodes) {
-    for (int i = 0; i < nodes; ++i) free_nodes_.insert(i);
+  Machine(int nodes, int cores) {
+    occupied_nodes_ = nodes;
+    busy_cores_ = nodes * cores;
   }
 
-  void release(int node_id) {
-    sync_free_state(node_id);
+  void release(int node_id, int cpus) {
+    busy_cores_ -= cpus;
     notify(node_id);
   }
 
  private:
-  void sync_free_state(int node_id) {  // detlint: mutator-ok(callers notify)
-    free_nodes_.insert(node_id);
-  }
-
   void notify(int node_id) { (void)node_id; }
 
-  std::set<int> free_nodes_;
+  int busy_cores_ = 0;
+  int occupied_nodes_ = 0;
 };
 
 }  // namespace fixture

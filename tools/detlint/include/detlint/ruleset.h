@@ -19,7 +19,7 @@
 namespace detlint {
 
 /// Tool version. Bump on any behaviour change (rules, waiver syntax, lexing).
-inline constexpr const char* kVersion = "1.0.0";
+inline constexpr const char* kVersion = "1.1.0";
 
 /// Directories (relative to src/) that constitute decision-path code: every
 /// scheduling decision flows through them, so iteration order and RTTI there
@@ -80,14 +80,13 @@ inline constexpr const char* kRttiTokens[] = {
     "typeid",
 };
 
-/// D4: occupancy-mutation markers. A function body in the D4 scope that
-/// contains one of these must also reference the notify path below.
+/// D4: occupancy-mutation markers — the Machine's occupancy counters. A
+/// function body in the D4 scope that writes one of these (assignment,
+/// compound assignment, increment or decrement) must also reference the
+/// notify path below.
 inline constexpr const char* kOccupancyMutationMembers[] = {
-    "free_nodes_",  // mutating member calls: .insert/.erase/.clear
-    "busy_cores_",  // assignment / compound assignment / inc / dec
-};
-inline constexpr const char* kOccupancyMutationCalls[] = {
-    "sync_free_state",
+    "busy_cores_",
+    "occupied_nodes_",
 };
 inline constexpr const char* kNotifyTokens[] = {
     "notify",
@@ -122,7 +121,6 @@ constexpr std::uint64_t ruleset_hash_value() noexcept {
   for (const auto* t : kBannedTypeTokens) hash = fnv1a(t, fnv1a("|", hash));
   for (const auto* t : kRttiTokens) hash = fnv1a(t, fnv1a("|", hash));
   for (const auto* t : kOccupancyMutationMembers) hash = fnv1a(t, fnv1a("|", hash));
-  for (const auto* t : kOccupancyMutationCalls) hash = fnv1a(t, fnv1a("|", hash));
   for (const auto* t : kNotifyTokens) hash = fnv1a(t, fnv1a("|", hash));
   return hash;
 }
