@@ -3,6 +3,7 @@
 // the paper reports (makespan, response, slowdown, energy).
 //
 //   ./quickstart [--jobs=N] [--nodes=N] [--seed=N]
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -21,7 +22,7 @@ int main(int argc, char** argv) try {
   wl.n_jobs = static_cast<int>(args.get_int("jobs", 800));
   wl.system_nodes = static_cast<int>(args.get_int("nodes", 64));
   wl.cores_per_node = 48;
-  wl.max_job_nodes = wl.system_nodes / 8;
+  wl.max_job_nodes = std::max(1, wl.system_nodes / 8);
   wl.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   Workload workload = generate_cirne(wl);
   std::fputs(to_string(characterize(workload)).c_str(), stdout);
@@ -59,7 +60,8 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(sd.summary.mates));
   return 0;
 } catch (const std::invalid_argument& e) {
-  // A malformed flag (--jobs=abc) is a usage error, not a crash.
+  // A malformed flag (--jobs=abc) or an impossible machine (--nodes=0) is a
+  // usage error, not a crash.
   std::fprintf(stderr, "%s: %s\n", "quickstart", e.what());
   return 2;
 }

@@ -6,7 +6,6 @@
 
 #include "api/sweep.h"
 #include "metrics/summary.h"
-#include "util/cli.h"
 #include "workload/app_profiles.h"
 #include "workload/cirne.h"
 #include "workload/synthetic_logs.h"
@@ -109,12 +108,10 @@ MachineConfig trace_machine(const LoadedTrace& loaded) {
                     std::max(1, loaded.workload.info().cores_per_node / sockets));
 }
 
-PaperWorkload trace_workload(const std::string& name, double scale, std::uint64_t seed,
-                             bool prefer_fixture) {
+PaperWorkload trace_workload(const std::string& name, double scale, std::uint64_t seed) {
   TraceLoadOptions options;
   options.scale = std::clamp(scale, 0.001, 1.0);
   options.seed = seed;
-  options.allow_fixture = prefer_fixture;
   const LoadedTrace loaded = load_trace(name, options);
   PaperWorkload pw;
   pw.label = loaded.info.label;
@@ -151,7 +148,6 @@ ExperimentResult compare(const PaperWorkload& pw, const SimulationConfig& policy
   SimulationConfig base = baseline_config(policy_cfg.machine);
   base.execution_model = policy_cfg.execution_model;
   base.use_app_model = policy_cfg.use_app_model;
-  base.bw_capacity_per_socket = policy_cfg.bw_capacity_per_socket;
   base.sched = policy_cfg.sched;
   // Both cells share pw.workload's job storage and run concurrently (two
   // independent simulations; one worker each).
@@ -175,12 +171,6 @@ const std::vector<CutoffVariant>& maxsd_sweep() {
       {"DynAVGSD", CutoffConfig::dynamic_avg()},
   };
   return sweep;
-}
-
-double bench_scale(int argc, const char* const* argv, double fallback) {
-  const CliArgs args(argc, argv);
-  if (args.get_bool("full")) return 1.0;
-  return args.get_double("scale", fallback);
 }
 
 }  // namespace sdsched

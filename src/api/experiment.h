@@ -39,8 +39,7 @@ struct PaperWorkload {
 /// machine is the trace's documented shape — full size for fixtures, scaled
 /// with the workload for synthesized traces.
 [[nodiscard]] PaperWorkload trace_workload(const std::string& name, double scale = 1.0,
-                                           std::uint64_t seed = 0,
-                                           bool prefer_fixture = true);
+                                           std::uint64_t seed = 0);
 
 /// The machine a loaded trace targets: the workload's (possibly scaled)
 /// node count with the trace's documented socket split. The single source
@@ -75,9 +74,5 @@ struct CutoffVariant {
   CutoffConfig cutoff;
 };
 [[nodiscard]] const std::vector<CutoffVariant>& maxsd_sweep();
-
-/// Default bench scale: reads --scale / SDSCHED_SCALE, with SDSCHED_FULL=1
-/// forcing paper scale. Keeps the whole bench suite minutes-fast by default.
-[[nodiscard]] double bench_scale(int argc, const char* const* argv, double fallback);
 
 }  // namespace sdsched

@@ -36,26 +36,6 @@ void SimulationReport::to_json(JsonWriter& json) const {
   json.end_object();
 }
 
-void SimulationReport::records_to_json(JsonWriter& json) const {
-  json.begin_array();
-  for (const JobRecord& r : records) {
-    json.begin_array();
-    json.value(r.id);
-    json.value(r.submit);
-    json.value(r.start);
-    json.value(r.end);
-    json.value(r.req_time);
-    json.value(r.base_runtime);
-    json.value(r.req_cpus);
-    json.value(r.req_nodes);
-    json.value(r.was_guest ? 1 : 0);
-    json.value(r.was_mate ? 1 : 0);
-    json.value(r.reconfigurations);
-    json.end_array();
-  }
-  json.end_array();
-}
-
 std::string SimulationReport::json() const {
   JsonWriter writer;
   to_json(writer);

@@ -46,18 +46,6 @@ struct SimulationReport {
   /// deliberately omitted — they can be hundreds of thousands of entries).
   void to_json(JsonWriter& json) const;
 
-  /// Column names of the compact per-job record rows, in emission order.
-  static constexpr const char* kRecordColumns =
-      "id,submit,start,end,req_time,base_runtime,req_cpus,req_nodes,"
-      "was_guest,was_mate,reconfigurations";
-
-  /// Emit `records` as a JSON array of 11-element arrays (columns per
-  /// kRecordColumns; booleans as 0/1). Row-of-arrays instead of
-  /// row-of-objects keeps an archive-scale dump (448K rows) from repeating
-  /// every key 448K times; pair with a sink-mode JsonWriter and the emission
-  /// is O(1) in memory too.
-  void records_to_json(JsonWriter& json) const;
-
   /// The to_json document as a standalone string — the canonical
   /// machine-readable form, also used to byte-compare reports in the sweep
   /// determinism test.

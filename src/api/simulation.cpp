@@ -30,10 +30,10 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
     jobs_.add(spec);
   }
   if (config_.use_app_model) {
-    app_model_.emplace(table2_profiles(), config_.bw_capacity_per_socket);
+    app_model_.emplace(table2_profiles());
   }
   if (config_.use_runtime_prediction) {
-    predictor_.emplace(config_.predictor_smoothing);
+    predictor_.emplace();
   }
   switch (config_.policy) {
     case PolicyKind::Fcfs:

@@ -64,12 +64,10 @@ struct SimulationConfig {
 
   /// Enable the Table-2 application contention model (real-run reproduction).
   bool use_app_model = false;
-  double bw_capacity_per_socket = 1.0;
 
   /// Replace user estimates with the online runtime predictor (paper §4.1 /
   /// future work #2) for all scheduler planning.
   bool use_runtime_prediction = false;
-  double predictor_smoothing = 0.3;
 
   /// Wallclock lost per DROM mask change per node (shrink/expand). The
   /// paper measured this as negligible for DROM (§2.1) — the default —

@@ -1,13 +1,14 @@
 #include "api/sweep.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
-#include <future>
 #include <stdexcept>
+#include <thread>
 #include <unordered_set>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace sdsched {
 
@@ -26,8 +27,10 @@ SweepResult run_cell(const SweepCell& cell) {
 }  // namespace
 
 std::size_t SweepRunner::effective_jobs(std::size_t cells) const noexcept {
+  // hardware_concurrency() may return 0 when unknown; floor it at 1.
   const std::size_t requested =
-      jobs_ == 0 ? ThreadPool::default_concurrency() : static_cast<std::size_t>(jobs_);
+      jobs_ == 0 ? std::max(1U, std::thread::hardware_concurrency())
+                 : static_cast<std::size_t>(jobs_);
   return cells < requested ? (cells == 0 ? 1 : cells) : requested;
 }
 
@@ -46,40 +49,34 @@ std::vector<SweepResult> SweepRunner::run(const std::vector<SweepCell>& cells) c
   }
 
   std::vector<SweepResult> results(cells.size());
+  std::vector<std::exception_ptr> errors(cells.size());
   const std::size_t workers = effective_jobs(cells.size());
   log_debug("sweep", cells.size(), " cells on ", workers, " worker(s)");
 
-  // Both paths honour the documented contract: every cell runs, then the
-  // first failure (in input order for the serial path) is rethrown.
-  std::exception_ptr first_error;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+  // Every worker, the calling thread included, claims the next unrun cell
+  // until none is left; each cell writes only its own result and error
+  // slot. jobs == 1 is the same loop with no extra thread.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&cells, &results, &errors, &next] {
+    for (std::size_t i = next++; i < cells.size(); i = next++) {
       try {
         results[i] = run_cell(cells[i]);
       } catch (...) {
-        if (!first_error) first_error = std::current_exception();
+        errors[i] = std::current_exception();
       }
     }
-  } else {
-    ThreadPool pool(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      pending.push_back(pool.submit([&cells, &results, i] {
-        results[i] = run_cell(cells[i]);
-      }));
-    }
-    // Wait for *every* cell before propagating the first failure, so no task
-    // still references cells/results when we unwind.
-    for (auto& future : pending) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
+  };
+  {
+    // jthread joins on destruction, so every cell has ended before any
+    // failure unwinds past cells/results.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(work);
+    work();
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   return results;
 }
 

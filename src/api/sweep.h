@@ -3,7 +3,7 @@
 // The paper's whole evaluation is a grid: workloads x cut-off variants x
 // execution models, every cell an independent Simulation. A sweep declares
 // that grid as data (a vector of named SweepCells), and the runner executes
-// it on a fixed-size thread pool:
+// it on worker threads:
 //
 //   std::vector<SweepCell> cells;
 //   cells.push_back({"W1/baseline", pw.workload, baseline_config(pw.machine)});
@@ -18,8 +18,8 @@
 //     identity (replicated seeds) is derived with cell_seed(), never from
 //     thread scheduling — so a sweep at --jobs=N is byte-identical to the
 //     serial run;
-//   * the first cell failure is rethrown after every cell has finished
-//     (no detached simulations keep running).
+//   * the first cell failure in input order is rethrown after every cell
+//     has finished (no detached simulations keep running).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,8 @@ struct SweepResult {
 
 class SweepRunner {
  public:
-  /// `jobs`: worker threads for the sweep. 0 = one per hardware thread;
-  /// 1 = run serially inline on the calling thread (no pool).
+  /// `jobs`: worker threads for the sweep, the calling thread included.
+  /// 0 = one per hardware thread; 1 = every cell on the calling thread.
   explicit SweepRunner(int jobs = 0) noexcept : jobs_(jobs < 0 ? 0 : jobs) {}
 
   /// Requested concurrency (0 = auto).
@@ -58,8 +58,9 @@ class SweepRunner {
   [[nodiscard]] std::size_t effective_jobs(std::size_t cells) const noexcept;
 
   /// Run every cell and return results in input order. Cell names must be
-  /// non-empty and unique (std::invalid_argument otherwise). If a cell
-  /// throws, the first exception is rethrown once all cells have finished.
+  /// non-empty and unique (std::invalid_argument otherwise). If cells
+  /// throw, the first failure in input order is rethrown once all cells
+  /// have finished.
   [[nodiscard]] std::vector<SweepResult> run(const std::vector<SweepCell>& cells) const;
 
   /// Deterministic per-cell seed derivation (SplitMix64 finalizer over base

@@ -148,17 +148,6 @@ int ClusterStateIndex::eligible_node_count(const JobConstraints& constraints) co
   return eligible;
 }
 
-int ClusterStateIndex::eligible_free_count(const JobConstraints& constraints) const {
-  if (constraints.unconstrained()) return free_runs_.free_count();
-  int free = 0;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (node_satisfies(classes_[c].attributes, constraints)) {
-      free += free_runs_.free_count_of_class(static_cast<int>(c));
-    }
-  }
-  return free;
-}
-
 std::optional<std::vector<int>> ClusterStateIndex::find_free_nodes(
     int count, const JobConstraints* constraints) const {
   auto picked = pick_from_bitmap(count, constraints);

@@ -90,9 +90,6 @@ class ClusterStateIndex final : public MachineObserver {
   /// Nodes (free or busy) satisfying `constraints` — O(attribute classes).
   [[nodiscard]] int eligible_node_count(const JobConstraints& constraints) const;
 
-  /// Free nodes satisfying `constraints` — O(attribute classes).
-  [[nodiscard]] int eligible_free_count(const JobConstraints& constraints) const;
-
   /// Drop-in indexed replacement for Machine::find_free_nodes: same node
   /// ids (lowest-first; earliest adequate run for contiguous requests),
   /// but resolved from the bitmap words — O(words/64 + words touched)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace sdsched {
@@ -21,7 +23,15 @@ bool node_satisfies(const NodeAttributes& attributes,
 
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)), energy_(config_.energy, config_.nodes) {
-  assert(config_.nodes > 0);
+  const auto require_positive = [](const char* field, int value) {
+    if (value < 1) {
+      throw std::invalid_argument(std::string("Machine: ") + field + " must be at least 1, got " +
+                                  std::to_string(value));
+    }
+  };
+  require_positive("nodes", config_.nodes);
+  require_positive("sockets", config_.node.sockets);
+  require_positive("cores_per_socket", config_.node.cores_per_socket);
   // One lookup map instead of re-scanning the override list per node
   // (O(nodes + overrides), not O(nodes x overrides) — at 5040 nodes a long
   // override list made construction quadratic). insert_or_assign keeps the
@@ -154,23 +164,6 @@ int Machine::remove_share(SimTime now, JobId job, int node_id) {
   if (freed > 0) notify(node_id);
   commit(backdated, -freed, emptied ? -1 : 0);
   return freed;
-}
-
-void Machine::release_all(SimTime now, JobId job, const std::vector<int>& node_ids) {
-  const SimTime backdated = touch(now);
-  int freed_cores = 0;
-  int emptied = 0;
-  for (const int id : node_ids) {
-    const int freed = nodes_.at(id).remove(job);
-    if (freed > 0 && nodes_[id].empty()) {
-      ++emptied;
-      --occupied_nodes_;
-    }
-    busy_cores_ -= freed;
-    freed_cores += freed;
-    if (freed > 0) notify(id);
-  }
-  commit(backdated, -freed_cores, -emptied);
 }
 
 void Machine::finalize_energy(SimTime now) { (void)touch(now); }

@@ -94,9 +94,6 @@ class Machine {
   /// Remove `job` from `node_id`; returns cpus freed (0 if absent).
   int remove_share(SimTime now, JobId job, int node_id);
 
-  /// Remove `job` from every node it holds.
-  void release_all(SimTime now, JobId job, const std::vector<int>& node_ids);
-
   /// Flush the energy integral up to `now` (call at simulation end).
   void finalize_energy(SimTime now);
 

@@ -13,7 +13,7 @@
 //    is no point stressing the mate beyond the base factor;
 //  * without profile information the base factor is returned unchanged.
 //
-// The result is clamped to [min_factor, max_factor] so a mate always keeps
+// The result is clamped to [0.25, 0.75] so a mate always keeps
 // a meaningful share (the rank floor is enforced separately by the
 // selector's per-node budgets).
 #pragma once
@@ -22,17 +22,9 @@
 
 namespace sdsched {
 
-struct AdaptiveSharingConfig {
-  double min_factor = 0.25;
-  double max_factor = 0.75;
-  /// How aggressively profile mismatch moves the factor (0 = never).
-  double gain = 0.5;
-};
-
 /// SharingFactor for one (mate, guest) pairing. Either profile may be null.
 [[nodiscard]] double adaptive_sharing_factor(double base_factor,
                                              const ApplicationProfile* mate_profile,
-                                             const ApplicationProfile* guest_profile,
-                                             const AdaptiveSharingConfig& config = {}) noexcept;
+                                             const ApplicationProfile* guest_profile) noexcept;
 
 }  // namespace sdsched

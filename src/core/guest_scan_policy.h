@@ -17,17 +17,16 @@
 //  * GuestScanLedger — skip the mate search for a guest whose previous
 //    search failed in a provably unchanged state. The proof (spelled out
 //    in docs/determinism.md "Scan-ledger skip safety"): at a fixed
-//    ClusterStateIndex mutation_serial and MateRegistry epoch, every
-//    ingredient of a select() is constant or monotonically *harder* in
-//    `now` — candidate penalties and the DynAVGSD cut-off are now-
-//    independent (running jobs' waits froze at their starts), the eligible
-//    candidate set can only shrink (predicted-end expiry), and a later
-//    `now` only tightens the guest-must-finish-inside-every-mate
-//    constraint. The single exception is candidate-list truncation: a
-//    kept top-nm candidate expiring can pull a previously-truncated one
-//    into the explored window, so a truncated scan's failure is proven
-//    only until the earliest kept predicted end (Entry::valid_until,
-//    fed by MateSelector::last_scan()).
+//    ClusterStateIndex mutation_serial, every ingredient of a select() is
+//    constant or monotonically *harder* in `now` — candidate penalties
+//    and the DynAVGSD cut-off are now-independent (running jobs' waits
+//    froze at their starts), the eligible candidate set can only shrink
+//    (predicted-end expiry), and a later `now` only tightens the
+//    guest-must-finish-inside-every-mate constraint. The single exception
+//    is candidate-list truncation: a kept top-nm candidate expiring can
+//    pull a previously-truncated one into the explored window, so a
+//    truncated scan's failure is proven only until the earliest kept
+//    predicted end (Entry::valid_until, fed by MateSelector::last_scan()).
 //
 // Skips are decision-invisible by construction; under the SDSCHED_CROSSCHECK
 // switch (ClusterStateIndex::crosscheck()) SD-Policy re-runs the full search
@@ -56,14 +55,15 @@ struct GuestScanPolicy {
 };
 
 /// Per-guest record of the state in which the last mate search failed.
-/// Indexed by JobId (the budget-cache pattern); entries are invalidated
-/// when their guest starts or finishes, and go stale automatically when
-/// the serial or epoch moves on.
+/// Indexed by JobId (the budget-cache pattern). The key is
+/// (mutation_serial, planned, max_free) plus valid_until; an entry goes
+/// stale by itself when the serial moves on. Every start and finish writes
+/// a node, so an unchanged serial also means an unchanged running
+/// population, and a guest that started never asks again.
 class GuestScanLedger {
  public:
   struct Entry {
     std::uint64_t serial = 0;  ///< ClusterStateIndex::mutation_serial at failure
-    std::uint64_t epoch = 0;   ///< MateRegistry::epoch at failure
     SimTime planned = 0;       ///< planning duration the failed search used
     SimTime valid_until = 0;   ///< first instant the failure proof lapses
     int max_free = 0;          ///< free-node allowance the failed search saw
@@ -78,21 +78,15 @@ class GuestScanLedger {
   }
 
   /// True when `guest`'s recorded failure provably still stands: identical
-  /// serial/epoch/planned, a free-node allowance no larger than the failed
-  /// search saw, and `now` still inside the truncation-proof window.
-  [[nodiscard]] bool can_skip(JobId guest, std::uint64_t serial, std::uint64_t epoch,
-                              SimTime planned, int max_free, SimTime now) const noexcept {
+  /// serial/planned, a free-node allowance no larger than the failed search
+  /// saw, and `now` still inside the truncation-proof window.
+  [[nodiscard]] bool can_skip(JobId guest, std::uint64_t serial, SimTime planned,
+                              int max_free, SimTime now) const noexcept {
     const auto idx = static_cast<std::size_t>(guest);
     if (idx >= entries_.size()) return false;
     const Entry& entry = entries_[idx];
-    return entry.valid && entry.serial == serial && entry.epoch == epoch &&
-           entry.planned == planned && max_free <= entry.max_free &&
-           now < entry.valid_until;
-  }
-
-  void invalidate(JobId guest) noexcept {
-    const auto idx = static_cast<std::size_t>(guest);
-    if (idx < entries_.size()) entries_[idx].valid = false;
+    return entry.valid && entry.serial == serial && entry.planned == planned &&
+           max_free <= entry.max_free && now < entry.valid_until;
   }
 
  private:

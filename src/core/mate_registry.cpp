@@ -33,7 +33,6 @@ void erase_sorted(std::vector<JobId>& ids, JobId id) {
 }  // namespace
 
 void MateRegistry::seed(const JobRegistry& jobs) {
-  ++epoch_;
   running_.clear();
   mates_.clear();
   for (const Job& job : jobs) {
@@ -44,13 +43,11 @@ void MateRegistry::seed(const JobRegistry& jobs) {
 }
 
 void MateRegistry::on_start(const Job& job) {
-  ++epoch_;
   insert_sorted(running_, job.spec.id);
   if (static_mate_eligible(job)) insert_sorted(mates_, job.spec.id);
 }
 
 void MateRegistry::on_finish(JobId id) {
-  ++epoch_;
   erase_sorted(running_, id);
   erase_sorted(mates_, id);
 }

@@ -50,12 +50,6 @@ class MateRegistry {
   /// Ascending ids of running jobs statically eligible for the mate role.
   [[nodiscard]] const std::vector<JobId>& mates() const noexcept { return mates_; }
 
-  /// Population epoch: bumped by every seed/start/finish notification.
-  /// Together with ClusterStateIndex::mutation_serial it keys the SD scan
-  /// ledger — an unchanged (serial, epoch) pair means neither the machine
-  /// nor the running population moved since a guest's last mate search.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
   /// Re-derive both sets from `jobs` and compare. On mismatch returns false
   /// and, if given, fills `diagnosis`.
   [[nodiscard]] bool check_consistent(const JobRegistry& jobs,
@@ -64,7 +58,6 @@ class MateRegistry {
  private:
   std::vector<JobId> running_;
   std::vector<JobId> mates_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace sdsched

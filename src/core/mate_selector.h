@@ -69,10 +69,6 @@ class MateSelector {
                                                double max_slowdown, int max_free_nodes = 0,
                                                SimTime guest_runtime = 0) const;
 
-  /// Eligibility test for the mate role (exposed for tests).
-  [[nodiscard]] bool eligible_mate(const Job& candidate, const Job& guest,
-                                   SimTime now) const noexcept;
-
   /// Work counters (observability for `micro_scheduler --sd-pass`).
   struct SelectStats {
     std::uint64_t selects = 0;                 ///< select() calls
@@ -84,8 +80,8 @@ class MateSelector {
 
   /// Shape of the last select()'s candidate walk — what the failed-select
   /// ledger (GuestScanLedger) needs to bound how long a failure provably
-  /// stands. An untruncated scan's failure holds until the serial/epoch
-  /// move; a truncated one only until the earliest kept predicted end,
+  /// stands. An untruncated scan's failure holds until the mutation
+  /// serial moves; a truncated one only until the earliest kept predicted end,
   /// because a kept top-nm candidate expiring can pull a previously
   /// truncated candidate into the explored window.
   struct ScanSummary {
@@ -95,6 +91,10 @@ class MateSelector {
   [[nodiscard]] const ScanSummary& last_scan() const noexcept { return last_scan_; }
 
  private:
+  /// Eligibility test for the mate role.
+  [[nodiscard]] bool eligible_mate(const Job& candidate, const Job& guest,
+                                   SimTime now) const noexcept;
+
   struct NodeBudget {
     int node = -1;
     int mate_current = 0;    ///< mate's current cpus there

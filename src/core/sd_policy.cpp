@@ -45,14 +45,13 @@ void SdPolicyScheduler::annotate(SimulationReport& report) const {
 
 double SdPolicyScheduler::pass_cutoff(SimTime now) {
   const std::uint64_t serial = cluster_index_->mutation_serial();
-  const std::uint64_t epoch = mate_registry_.epoch();
-  if (!cutoff_cache_valid_ || cutoff_serial_ != serial || cutoff_epoch_ != epoch) {
-    // At a fixed (serial, epoch) the cut-off is now-independent: the
-    // running set is fixed, a running job's wait froze at its start, and
-    // predicted increases only move with machine mutations.
+  if (!cutoff_cache_valid_ || cutoff_serial_ != serial) {
+    // At a fixed serial the cut-off is now-independent: the running set is
+    // fixed (every start and finish writes a node), a running job's wait
+    // froze at its start, and predicted increases only move with machine
+    // mutations.
     cutoff_value_ = compute_cutoff(sd_config_.cutoff, jobs_, mate_registry_.running(), now);
     cutoff_serial_ = serial;
-    cutoff_epoch_ = epoch;
     cutoff_cache_valid_ = true;
   } else if (cluster_index_->crosscheck()) {
     const double fresh =
@@ -120,8 +119,8 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
   // Failed-select ledger: skip the search when this guest's last failure
   // provably still stands (docs/determinism.md "Scan-ledger skip safety").
   if (sd_config_.scan.ledger &&
-      scan_ledger_.can_skip(job.spec.id, cluster_index_->mutation_serial(),
-                            mate_registry_.epoch(), planned, max_free_nodes, now)) {
+      scan_ledger_.can_skip(job.spec.id, cluster_index_->mutation_serial(), planned,
+                            max_free_nodes, now)) {
     if (cluster_index_->crosscheck() &&
         selector_.select(job, now, cutoff, max_free_nodes, planned)) {
       std::ostringstream oss;
@@ -140,7 +139,6 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
     if (sd_config_.scan.ledger) {
       GuestScanLedger::Entry entry;
       entry.serial = cluster_index_->mutation_serial();
-      entry.epoch = mate_registry_.epoch();
       entry.planned = planned;
       entry.max_free = max_free_nodes;
       const MateSelector::ScanSummary& scan = selector_.last_scan();

@@ -22,14 +22,14 @@
 // Saturated-queue bounds (SdConfig::scan, see core/guest_scan_policy.h):
 // an optional top-K guest budget slices each pass to the head of the
 // priority order, and the failed-select ledger skips mate searches whose
-// previous failure provably still stands — keyed on the cluster index's
-// mutation_serial and the MateRegistry epoch, invalidated by the start /
-// finish hooks below (reconfigurations land as machine mutations, so the
-// serial key covers them). The DynAVGSD cut-off rides the same key in a
-// one-slot cache: at a fixed (serial, epoch) it is now-independent, since
-// running jobs' waits froze at their starts. Under the same crosscheck()
-// switch every skipped search re-runs in full and every cache hit is
-// recomputed, throwing std::logic_error on divergence.
+// previous failure provably still stands — keyed on (mutation_serial,
+// planned, max_free) plus valid_until. Every start, finish and
+// reconfiguration writes a node before the MateRegistry hears of it, so an
+// unchanged serial also pins the running population. The DynAVGSD cut-off
+// rides the same serial in a one-slot cache: at a fixed serial it is
+// now-independent, since running jobs' waits froze at their starts. Under
+// the same crosscheck() switch every skipped search re-runs in full and
+// every cache hit is recomputed, throwing std::logic_error on divergence.
 #pragma once
 
 #include "core/cutoff.h"
@@ -61,7 +61,6 @@ class SdPolicyScheduler final : public BackfillScheduler {
   void on_finish(JobId job) override {
     mate_registry_.on_finish(job);
     selector_.release_budgets(job);
-    scan_ledger_.invalidate(job);
     BackfillScheduler::on_finish(job);
   }
 
@@ -88,14 +87,11 @@ class SdPolicyScheduler final : public BackfillScheduler {
   bool try_malleable(SimTime now, Job& job, SimTime est_start,
                      ReservationProfile& profile) override;
 
-  void on_job_started(JobId job) override {
-    mate_registry_.on_start(jobs_.at(job));
-    scan_ledger_.invalidate(job);
-  }
+  void on_job_started(JobId job) override { mate_registry_.on_start(jobs_.at(job)); }
 
  private:
-  /// This pass's MAX_SLOWDOWN cut-off, through the one-slot (serial,
-  /// epoch) cache.
+  /// This pass's MAX_SLOWDOWN cut-off, through the one-slot
+  /// mutation_serial cache.
   [[nodiscard]] double pass_cutoff(SimTime now);
 
   SdConfig sd_config_;
@@ -105,7 +101,6 @@ class SdPolicyScheduler final : public BackfillScheduler {
   int guests_considered_ = 0;   ///< this pass, against scan.guest_budget
   bool cutoff_cache_valid_ = false;
   std::uint64_t cutoff_serial_ = 0;
-  std::uint64_t cutoff_epoch_ = 0;
   double cutoff_value_ = 0.0;
   std::uint64_t malleable_starts_ = 0;
   std::uint64_t estimate_rejections_ = 0;

@@ -10,14 +10,6 @@ int Job::allocated_cpus() const noexcept {
   return total;
 }
 
-int Job::min_cpus_per_node() const noexcept {
-  int lowest = 0;
-  for (const auto& share : shares) {
-    lowest = (lowest == 0) ? share.cpus : std::min(lowest, share.cpus);
-  }
-  return lowest;
-}
-
 double Job::slowdown() const noexcept {
   const auto runtime = std::max<SimTime>(spec.base_runtime, 1);
   return static_cast<double>(response_time()) / static_cast<double>(runtime);

@@ -109,7 +109,6 @@ struct Job {
   [[nodiscard]] bool can_be_mate() const noexcept { return malleable(); }
 
   [[nodiscard]] int allocated_cpus() const noexcept;
-  [[nodiscard]] int min_cpus_per_node() const noexcept;  ///< min share over nodes
 
   /// Wait time experienced so far (running/completed) or up to `now`.
   [[nodiscard]] SimTime wait_time(SimTime now) const noexcept {

@@ -14,12 +14,4 @@ JobId JobRegistry::add(JobSpec spec) {
   return id;
 }
 
-std::vector<JobId> JobRegistry::running_ids() const {
-  std::vector<JobId> ids;
-  for (const auto& job : jobs_) {
-    if (job.running()) ids.push_back(job.spec.id);
-  }
-  return ids;
-}
-
 }  // namespace sdsched

@@ -29,9 +29,6 @@ class JobRegistry {
   [[nodiscard]] auto begin() const noexcept { return jobs_.begin(); }
   [[nodiscard]] auto end() const noexcept { return jobs_.end(); }
 
-  /// Ids of jobs currently in Running state (fresh scan; for cutoff feedback).
-  [[nodiscard]] std::vector<JobId> running_ids() const;
-
  private:
   std::vector<Job> jobs_;
 };

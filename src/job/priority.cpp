@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "job/wait_queue.h"
 
 namespace sdsched {
 
@@ -34,13 +33,6 @@ void sort_by_priority(const PriorityConfig& config, const JobRegistry& jobs, Sim
     return job_priority(config, jobs.at(a).spec, now) >
            job_priority(config, jobs.at(b).spec, now);
   });
-}
-
-std::vector<JobId> priority_order(const PriorityConfig& config, const WaitQueue& queue,
-                                  const JobRegistry& jobs, SimTime now) {
-  std::vector<JobId> ids = queue.ordered_ids();  // FCFS order = tie-break order
-  sort_by_priority(config, jobs, now, ids);
-  return ids;
 }
 
 }  // namespace sdsched

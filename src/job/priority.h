@@ -14,8 +14,6 @@
 
 namespace sdsched {
 
-class WaitQueue;
-
 enum class PriorityKind : int {
   Fcfs = 0,           ///< arrival order (the paper's setting)
   SmallestFirst = 1,  ///< fewest requested nodes first (SJF-ish, starvation-prone)
@@ -38,15 +36,9 @@ struct PriorityConfig {
                                   SimTime now) noexcept;
 
 /// Stable-sort `ids` (given in FCFS order, which therefore breaks ties) by
-/// descending priority at `now`. The one comparator both priority_order()
-/// and the WaitQueue's cached scheduling-order view go through.
+/// descending priority at `now` — the comparator behind the WaitQueue's
+/// cached scheduling-order view.
 void sort_by_priority(const PriorityConfig& config, const JobRegistry& jobs, SimTime now,
                       std::vector<JobId>& ids);
-
-/// Queue ids ordered by descending priority, FCFS tie-break. For
-/// PriorityKind::Fcfs this is exactly the queue's native order.
-[[nodiscard]] std::vector<JobId> priority_order(const PriorityConfig& config,
-                                                const WaitQueue& queue,
-                                                const JobRegistry& jobs, SimTime now);
 
 }  // namespace sdsched

@@ -36,13 +36,6 @@ bool WaitQueue::contains(JobId id) const noexcept {
                      [id](const Entry& e) { return e.id == id; });
 }
 
-std::vector<JobId> WaitQueue::ordered_ids() const {
-  std::vector<JobId> ids;
-  ids.reserve(entries_.size());
-  for (const auto& entry : entries_) ids.push_back(entry.id);
-  return ids;
-}
-
 const std::vector<JobId>& WaitQueue::scheduling_order(SimTime now) const {
   const bool time_dependent = config_.kind == PriorityKind::Multifactor;
   if (!cache_dirty_ && (!time_dependent || cache_now_ == now)) return cache_;

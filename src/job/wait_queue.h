@@ -54,9 +54,6 @@ class WaitQueue {
   /// Oldest job in arrival order. Requires !empty().
   [[nodiscard]] JobId front() const { return entries_.front().id; }
 
-  /// Snapshot of ids in (submit, id) arrival order.
-  [[nodiscard]] std::vector<JobId> ordered_ids() const;
-
   /// Ids in scheduling order under the configured priority at `now`. The
   /// returned view stays valid (and fixed) across remove() calls; it is
   /// refreshed only on the next scheduling_order() call after a change.

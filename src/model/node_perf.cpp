@@ -29,7 +29,7 @@ double NodePerfModel::multiplier(const Job& job, const Machine& machine,
   double contention_sum = 0.0;
   for (const auto& share : job.shares) {
     const Node& node = machine.node(share.node);
-    const double capacity = bw_capacity_per_socket_ * node.sockets();
+    const double capacity = static_cast<double>(node.sockets());
     double own_demand = 0.0;
     double total_demand = 0.0;
     for (const auto& occ : node.occupants()) {

@@ -25,9 +25,10 @@ namespace sdsched {
 
 class NodePerfModel {
  public:
-  explicit NodePerfModel(std::vector<ApplicationProfile> profiles,
-                         double bw_capacity_per_socket = 1.0)
-      : profiles_(std::move(profiles)), bw_capacity_per_socket_(bw_capacity_per_socket) {}
+  /// Each socket supplies one unit of memory bandwidth (the unit
+  /// ApplicationProfile::mem_bw_per_core is expressed in).
+  explicit NodePerfModel(std::vector<ApplicationProfile> profiles)
+      : profiles_(std::move(profiles)) {}
 
   /// Multiplier applied to `job`'s progress rate given its current shares
   /// and the co-occupants of its nodes. Returns 1.0 for jobs without a
@@ -43,7 +44,6 @@ class NodePerfModel {
   [[nodiscard]] const ApplicationProfile* profile_of(const Job& job) const noexcept;
 
   std::vector<ApplicationProfile> profiles_;
-  double bw_capacity_per_socket_;
 };
 
 }  // namespace sdsched

@@ -13,8 +13,7 @@ void ProgressTracker::settle(Job& job, SimTime now) const noexcept {
 }
 
 void ProgressTracker::set_rate_from_shares(Job& job, double contention_multiplier) const noexcept {
-  job.rate = progress_rate(kind_, job.shares, job.spec.req_cpus, clamp_superlinear_) *
-             contention_multiplier;
+  job.rate = progress_rate(kind_, job.shares, job.spec.req_cpus) * contention_multiplier;
 }
 
 SimTime ProgressTracker::remaining_wallclock(const Job& job) const noexcept {
@@ -22,13 +21,6 @@ SimTime ProgressTracker::remaining_wallclock(const Job& job) const noexcept {
   if (remaining_work <= 0.0) return 0;
   assert(job.rate > 0.0);
   return static_cast<SimTime>(std::ceil(remaining_work / job.rate));
-}
-
-SimTime ProgressTracker::reconfigure(Job& job, SimTime now,
-                                     double contention_multiplier) const noexcept {
-  settle(job, now);
-  set_rate_from_shares(job, contention_multiplier);
-  return now + remaining_wallclock(job);
 }
 
 }  // namespace sdsched

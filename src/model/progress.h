@@ -15,8 +15,7 @@ class NodePerfModel;  // fwd; optional contention multiplier
 
 class ProgressTracker {
  public:
-  explicit ProgressTracker(RuntimeModelKind kind, bool clamp_superlinear = false) noexcept
-      : kind_(kind), clamp_superlinear_(clamp_superlinear) {}
+  explicit ProgressTracker(RuntimeModelKind kind) noexcept : kind_(kind) {}
 
   [[nodiscard]] RuntimeModelKind kind() const noexcept { return kind_; }
 
@@ -32,13 +31,8 @@ class ProgressTracker {
   /// Requires rate > 0. Rounded up to whole seconds, minimum 0.
   [[nodiscard]] SimTime remaining_wallclock(const Job& job) const noexcept;
 
-  /// Convenience: settle, re-rate, and return the new predicted finish time.
-  [[nodiscard]] SimTime reconfigure(Job& job, SimTime now,
-                                    double contention_multiplier = 1.0) const noexcept;
-
  private:
   RuntimeModelKind kind_;
-  bool clamp_superlinear_;
 };
 
 }  // namespace sdsched

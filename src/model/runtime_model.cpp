@@ -5,8 +5,8 @@
 
 namespace sdsched {
 
-double progress_rate(RuntimeModelKind kind, std::span<const NodeShare> shares, int req_cpus,
-                     bool clamp_superlinear) noexcept {
+double progress_rate(RuntimeModelKind kind, std::span<const NodeShare> shares,
+                     int req_cpus) noexcept {
   if (shares.empty() || req_cpus <= 0) return 0.0;
   double rate = 0.0;
   if (kind == RuntimeModelKind::Ideal) {
@@ -20,7 +20,6 @@ double progress_rate(RuntimeModelKind kind, std::span<const NodeShare> shares, i
       rate = std::min(rate, static_cast<double>(share.cpus) / reference);
     }
   }
-  if (clamp_superlinear) rate = std::min(rate, 1.0);
   return std::max(rate, 0.0);
 }
 

@@ -35,10 +35,10 @@ enum class RuntimeModelKind : int { Ideal = 0, WorstCase = 1 };
 
 /// Progress rate (fraction of static speed) for a job holding `shares`
 /// against a request of `req_cpus`. A full static allocation yields exactly
-/// 1.0 under both models. `clamp_superlinear` caps the rate at 1 for jobs
-/// that inherit more cores than they requested.
+/// 1.0 under both models; a job that inherits more cores than it requested
+/// runs faster than 1.
 [[nodiscard]] double progress_rate(RuntimeModelKind kind, std::span<const NodeShare> shares,
-                                   int req_cpus, bool clamp_superlinear = false) noexcept;
+                                   int req_cpus) noexcept;
 
 /// Extra wallclock to complete `duration` seconds of static-rate work when
 /// running at `rate`: duration * (1/rate - 1). Zero when rate >= 1.

@@ -26,9 +26,6 @@ class Engine {
     assert(time >= now_ && "cannot schedule events in the past");
     return queue_.schedule(time, event);
   }
-  EventHandle schedule_after(SimTime delay, Event event) {
-    return schedule_at(now_ + delay, event);
-  }
   bool cancel(EventHandle handle) { return queue_.cancel(handle); }
 
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }

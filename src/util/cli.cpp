@@ -31,7 +31,6 @@ auto parse_whole(const std::string& flag, const std::string& value, Parse parse)
 }  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;

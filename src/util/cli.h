@@ -24,10 +24,7 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
 
-  [[nodiscard]] const std::string& program() const noexcept { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
 };
 

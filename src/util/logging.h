@@ -3,7 +3,7 @@
 // The simulator is deterministic and single-threaded per Simulation, but
 // multiple Simulations may run concurrently (e.g. parameter sweeps), so the
 // sink is guarded by a mutex. Logging defaults to Warn so that library users
-// are not spammed; benches and examples raise the level explicitly.
+// are not spammed; a driver raises it with Logger::instance().set_level().
 #pragma once
 
 #include <atomic>
@@ -51,10 +51,6 @@ void log_impl(LogLevel level, std::string_view component, Args&&... args) {
 }
 }  // namespace detail
 
-template <typename... Args>
-void log_trace(std::string_view component, Args&&... args) {
-  detail::log_impl(LogLevel::Trace, component, std::forward<Args>(args)...);
-}
 template <typename... Args>
 void log_debug(std::string_view component, Args&&... args) {
   detail::log_impl(LogLevel::Debug, component, std::forward<Args>(args)...);

@@ -84,34 +84,6 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-double Rng::gamma(double shape, double scale) noexcept {
-  assert(shape > 0.0 && scale > 0.0);
-  if (shape < 1.0) {
-    // Boost to shape >= 1 then correct (Marsaglia-Tsang trick).
-    double u = next_double();
-    while (u <= 0.0) u = next_double();
-    return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = normal();
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    const double u = next_double();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v * scale;
-  }
-}
-
-double Rng::weibull(double shape, double scale) noexcept {
-  assert(shape > 0.0 && scale > 0.0);
-  double u = next_double();
-  while (u <= 0.0) u = next_double();
-  return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
 std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
   assert(!weights.empty());
   double total = 0.0;

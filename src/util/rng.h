@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace sdsched {
 
@@ -43,25 +42,9 @@ class Rng {
   /// Exponential with the given rate (lambda > 0).
   [[nodiscard]] double exponential(double rate) noexcept;
 
-  /// Gamma(shape k > 0, scale theta > 0) via Marsaglia-Tsang.
-  [[nodiscard]] double gamma(double shape, double scale) noexcept;
-
-  /// Weibull(shape k > 0, scale lambda > 0).
-  [[nodiscard]] double weibull(double shape, double scale) noexcept;
-
   /// Index into `weights` with probability proportional to each weight.
   /// Requires a non-empty span with a positive sum.
   [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) noexcept {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(items[i - 1], items[j]);
-    }
-  }
 
   /// Derive an independent child stream (e.g. one per workload component).
   [[nodiscard]] Rng fork() noexcept;

@@ -9,7 +9,6 @@ namespace sdsched {
 
 using SimTime = std::int64_t;  ///< seconds since trace start
 
-inline constexpr SimTime kSecond = 1;
 inline constexpr SimTime kMinute = 60;
 inline constexpr SimTime kHour = 3600;
 inline constexpr SimTime kDay = 86400;

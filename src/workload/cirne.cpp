@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/logging.h"
 
@@ -81,6 +83,17 @@ int draw_nodes(const CirneConfig& c, Rng& rng) {
 }  // namespace
 
 Workload generate_cirne(const CirneConfig& config) {
+  // A zero capacity would divide the offered load by zero below, and a
+  // zero max_job_nodes leaves draw_nodes an empty size range.
+  const auto require_positive = [](const char* field, int value) {
+    if (value < 1) {
+      throw std::invalid_argument(std::string("generate_cirne: ") + field +
+                                  " must be at least 1, got " + std::to_string(value));
+    }
+  };
+  require_positive("system_nodes", config.system_nodes);
+  require_positive("cores_per_node", config.cores_per_node);
+  require_positive("max_job_nodes", config.max_job_nodes);
   Rng rng(config.seed);
   Rng size_rng = rng.fork();
   Rng runtime_rng = rng.fork();

@@ -59,6 +59,8 @@ struct CirneConfig {
 };
 
 /// Generate a workload from the model. Deterministic in (config, seed).
+/// Throws std::invalid_argument naming the field when system_nodes,
+/// cores_per_node or max_job_nodes is below 1.
 [[nodiscard]] Workload generate_cirne(const CirneConfig& config);
 
 /// Shared machinery: place `n_jobs` arrivals over ~`span` seconds following

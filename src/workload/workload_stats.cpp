@@ -18,8 +18,6 @@ WorkloadStats characterize(const Workload& workload) {
   if (workload.empty()) return stats;
 
   OnlineStats runtime_stats;
-  OnlineStats req_stats;
-  OnlineStats node_stats;
   OnlineStats accuracy;
   std::vector<double> runtimes;
   runtimes.reserve(workload.size());
@@ -33,8 +31,6 @@ WorkloadStats characterize(const Workload& workload) {
   for (const auto& spec : workload.jobs()) {
     runtime_stats.add(static_cast<double>(spec.base_runtime));
     runtimes.push_back(static_cast<double>(spec.base_runtime));
-    req_stats.add(static_cast<double>(spec.req_time));
-    node_stats.add(static_cast<double>(spec.req_nodes));
     accuracy.add(static_cast<double>(spec.base_runtime) /
                  static_cast<double>(std::max<SimTime>(spec.req_time, 1)));
     first = std::min(first, spec.submit);
@@ -52,8 +48,6 @@ WorkloadStats characterize(const Workload& workload) {
   stats.submit_span = last - first;
   stats.mean_runtime = runtime_stats.mean();
   stats.median_runtime = median_of(std::move(runtimes));
-  stats.mean_req_time = req_stats.mean();
-  stats.mean_nodes = node_stats.mean();
   stats.offered_load = workload.offered_load(stats.system_cores);
   stats.request_accuracy = accuracy.mean();
   stats.pct_malleable =

@@ -18,8 +18,6 @@ struct WorkloadStats {
   SimTime submit_span = 0;
   double mean_runtime = 0.0;
   double median_runtime = 0.0;
-  double mean_req_time = 0.0;
-  double mean_nodes = 0.0;
   double offered_load = 0.0;
   double request_accuracy = 0.0;  ///< mean(base_runtime / req_time), 1 = exact
   double pct_malleable = 0.0;

@@ -83,15 +83,6 @@ TEST(Experiment, CompareNormalizesAgainstBaseline) {
               1e-9);
 }
 
-TEST(Experiment, BenchScaleParsing) {
-  const char* full[] = {"prog", "--full"};
-  EXPECT_DOUBLE_EQ(bench_scale(2, full, 0.1), 1.0);
-  const char* scaled[] = {"prog", "--scale=0.25"};
-  EXPECT_DOUBLE_EQ(bench_scale(2, scaled, 0.1), 0.25);
-  const char* none[] = {"prog"};
-  EXPECT_DOUBLE_EQ(bench_scale(1, none, 0.1), 0.1);
-}
-
 TEST(Experiment, ScaleClampedToSaneRange) {
   const PaperWorkload tiny = paper_workload(1, 1e-9);  // clamped to 0.001
   EXPECT_GE(tiny.machine.nodes, 16);

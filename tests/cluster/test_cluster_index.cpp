@@ -241,12 +241,13 @@ TEST(ClusterStateIndex, EligibleCountsMatchMachinePartition) {
   EXPECT_EQ(c.index->eligible_node_count(highmem), 4);
   EXPECT_EQ(c.index->eligible_node_count(highmem),
             c.machine->eligible_node_count(highmem));
-  EXPECT_EQ(c.index->eligible_free_count(highmem), 4);
+  EXPECT_EQ(*c.index->find_free_nodes(4, &highmem), (std::vector<int>{8, 9, 10, 11}));
 
   NodeManager mgr(*c.machine, c.jobs, c.drom);
   const JobId id = c.add_running(0, 2, 100);
   mgr.start_static(0, id, {8, 9});
-  EXPECT_EQ(c.index->eligible_free_count(highmem), 2);
+  EXPECT_EQ(*c.index->find_free_nodes(2, &highmem), (std::vector<int>{10, 11}));
+  EXPECT_FALSE(c.index->find_free_nodes(3, &highmem).has_value());
   EXPECT_EQ(c.index->eligible_node_count(highmem), 4);  // eligibility is static
   std::string diag;
   EXPECT_TRUE(c.index->check_consistent(&diag)) << diag;
@@ -271,6 +272,39 @@ TEST(ClusterStateIndex, VersionBumpsOnlyOnRealChanges) {
   EXPECT_GT(c.index->version(), v);
   std::string diag;
   EXPECT_TRUE(c.index->check_consistent(&diag)) << diag;
+}
+
+// The SD scan ledger and cut-off cache key on mutation_serial alone, so
+// every start and finish must move it before the MateRegistry hears of the
+// job: an unchanged serial then also means an unchanged running population.
+TEST(ClusterStateIndex, LifecycleStepsAdvanceMutationSerial) {
+  Cluster c;
+  NodeManager mgr(*c.machine, c.jobs, c.drom);
+  std::uint64_t serial = c.index->mutation_serial();
+  const auto advanced = [&] {
+    const std::uint64_t before = serial;
+    serial = c.index->mutation_serial();
+    return serial > before;
+  };
+
+  const JobId mate = c.add_running(0, 1, 100);
+  mgr.start_static(0, mate, {0});
+  EXPECT_TRUE(advanced()) << "start_static";
+
+  const JobId guest = c.add_running(10, 1, 50);
+  mgr.start_guest(10, guest, {SharePlan{0, mate, 4, 4, 4}});
+  EXPECT_TRUE(advanced()) << "start_guest beside a mate";
+
+  const JobId borrower = c.add_running(10, 1, 50);
+  mgr.start_guest(10, borrower, {SharePlan{1, kInvalidJob, 8, 0, 8}});
+  EXPECT_TRUE(advanced()) << "start_guest on a free node";
+
+  for (const JobId id : {guest, borrower, mate}) {
+    c.jobs.at(id).state = JobState::Completed;
+    mgr.finish_job(20, id);
+    EXPECT_TRUE(advanced()) << "finish_job " << id;
+  }
+  EXPECT_EQ(c.machine->occupied_nodes(), 0);
 }
 
 TEST(ClusterStateIndex, BusyGroupsClampOverdueOccupants) {

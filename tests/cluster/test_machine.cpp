@@ -1,6 +1,7 @@
 #include "cluster/machine.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,21 @@ TEST(Machine, InitialGeometry) {
   EXPECT_EQ(machine.free_node_count(), 4);
   EXPECT_EQ(machine.busy_cores(), 0);
   EXPECT_EQ(machine.occupied_nodes(), 0);
+}
+
+TEST(Machine, RejectsEmptyGeometry) {
+  for (int field = 0; field < 3; ++field) {
+    MachineConfig config;
+    config.nodes = 4;
+    config.node = NodeConfig{2, 24};
+    int& value = field == 0 ? config.nodes
+                 : field == 1 ? config.node.sockets
+                              : config.node.cores_per_socket;
+    for (const int bad : {0, -3}) {
+      value = bad;
+      EXPECT_THROW(Machine{config}, std::invalid_argument) << "field " << field << " = " << bad;
+    }
+  }
 }
 
 TEST(Machine, FindFreeNodesLowestFirst) {
@@ -71,7 +87,7 @@ TEST(Machine, SharesAndRelease) {
   EXPECT_EQ(machine.remove_share(20, 2, 0), 24);
   EXPECT_EQ(machine.busy_cores(), 24);
   EXPECT_EQ(machine.free_node_count(), 1);  // owner still there
-  machine.release_all(30, 1, {0});
+  EXPECT_EQ(machine.remove_share(30, 1, 0), 24);
   EXPECT_EQ(machine.free_node_count(), 2);
   EXPECT_EQ(machine.busy_cores(), 0);
 }
@@ -79,7 +95,7 @@ TEST(Machine, SharesAndRelease) {
 TEST(Machine, CoreSecondsIntegration) {
   Machine machine = make_machine(1);
   machine.allocate_exclusive(0, 1, {0}, {48});
-  machine.release_all(100, 1, {0});
+  EXPECT_EQ(machine.remove_share(100, 1, 0), 48);
   machine.finalize_energy(100);
   EXPECT_DOUBLE_EQ(machine.core_seconds(), 4800.0);
 }
@@ -92,7 +108,7 @@ TEST(Machine, EnergyAccumulatesIdleAndBusy) {
   config.energy.watts_per_busy_core = 2.0;
   Machine machine(config);
   machine.allocate_exclusive(0, 1, {0}, {48});
-  machine.release_all(50, 1, {0});
+  EXPECT_EQ(machine.remove_share(50, 1, 0), 48);
   machine.finalize_energy(100);
   // [0,50): 2 nodes idle draw + 48 busy cores; [50,100): idle only.
   const double expected = (2 * 100.0 + 48 * 2.0) * 50 + (2 * 100.0) * 50;
@@ -105,7 +121,7 @@ TEST(Machine, EnergyAccumulatesIdleAndBusy) {
 // core-second / energy totals must match the same calls replayed in
 // chronological order.
 struct AllocOp {
-  enum class Kind { Allocate, Release, AddShare, ResizeShare, RemoveShare };
+  enum class Kind { Allocate, AddShare, ResizeShare, RemoveShare };
   Kind kind = Kind::Allocate;
   SimTime time = 0;
   JobId job = 0;
@@ -119,9 +135,6 @@ void apply_ops(Machine& machine, const std::vector<AllocOp>& ops, SimTime end) {
     switch (op.kind) {
       case AllocOp::Kind::Allocate:
         ASSERT_TRUE(machine.allocate_exclusive(op.time, op.job, op.nodes, op.cpus));
-        break;
-      case AllocOp::Kind::Release:
-        machine.release_all(op.time, op.job, op.nodes);
         break;
       case AllocOp::Kind::AddShare:
         ASSERT_TRUE(machine.add_share(op.time, op.job, op.nodes[0], op.cpus[0], op.owner));
@@ -194,7 +207,7 @@ TEST(Machine, BackdatedHistoryWithReleaseMatchesForwardReplay) {
   const std::vector<AllocOp> ops = {
       {AllocOp::Kind::Allocate, 2000, 1, {0, 1}, {48, 48}},
       {AllocOp::Kind::Allocate, 500, 2, {2}, {48}},
-      {AllocOp::Kind::Release, 800, 2, {2}, {}},
+      {AllocOp::Kind::RemoveShare, 800, 2, {2}, {}},
   };
   expect_matches_forward_replay(config, ops, 3000);
 }
@@ -227,7 +240,7 @@ TEST(Machine, BackdatedSharedNodeChurnMatchesForwardReplay) {
 TEST(Machine, FreedNodeIsReusable) {
   Machine machine = make_machine(1);
   machine.allocate_exclusive(0, 1, {0}, {48});
-  machine.release_all(10, 1, {0});
+  EXPECT_EQ(machine.remove_share(10, 1, 0), 48);
   const auto nodes = machine.find_free_nodes(1);
   ASSERT_TRUE(nodes.has_value());
   EXPECT_TRUE(machine.allocate_exclusive(10, 2, *nodes, {48}));

@@ -36,15 +36,10 @@ TEST(AdaptiveSharing, MemoryBoundGuestGainsLittle) {
 }
 
 TEST(AdaptiveSharing, ClampedToConfiguredRange) {
-  AdaptiveSharingConfig config;
-  config.gain = 10.0;  // absurd gain must still clamp
-  const double sf =
-      adaptive_sharing_factor(0.5, profile("STREAM"), profile("PILS"), config);
-  EXPECT_DOUBLE_EQ(sf, config.max_factor);
-
-  config.gain = 0.0;
-  EXPECT_DOUBLE_EQ(
-      adaptive_sharing_factor(0.5, profile("STREAM"), profile("PILS"), config), 0.5);
+  // A base already at the ceiling can only be pushed past it: clamp to 0.75.
+  EXPECT_DOUBLE_EQ(adaptive_sharing_factor(0.75, profile("STREAM"), profile("PILS")), 0.75);
+  // PILS cedes nothing (alpha 1), so a base below the floor is lifted to 0.25.
+  EXPECT_DOUBLE_EQ(adaptive_sharing_factor(0.1, profile("PILS"), profile("PILS")), 0.25);
 }
 
 TEST(AdaptiveSharing, MonotoneInMateFlexibility) {

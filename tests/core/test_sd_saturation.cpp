@@ -35,7 +35,6 @@
 #include "cluster/cluster_state_index.h"
 #include "cluster/machine.h"
 #include "core/guest_scan_policy.h"
-#include "core/mate_registry.h"
 #include "job/job_registry.h"
 #include "metrics/summary.h"
 #include "util/json.h"
@@ -181,55 +180,27 @@ TEST(SdSaturation, CrosscheckValidatesEverySkip) {
 }
 
 // Unit-level ledger semantics: the skip predicate is exactly (same serial,
-// same epoch, same planned duration, free allowance no larger, still inside
-// the truncation-proof window), and invalidation clears it.
+// same planned duration, free allowance no larger, still inside the
+// truncation-proof window). The serial alone stands for the mate population:
+// ClusterStateIndex.LifecycleStepsAdvanceMutationSerial pins that every
+// start and finish moves it.
 TEST(SdSaturation, LedgerSkipPredicate) {
   GuestScanLedger ledger;
   GuestScanLedger::Entry entry;
   entry.serial = 9;
-  entry.epoch = 3;
   entry.planned = 500;
   entry.valid_until = 1000;
   entry.max_free = 4;
   ledger.record(17, entry);
 
-  EXPECT_TRUE(ledger.can_skip(17, 9, 3, 500, 4, 100));
-  EXPECT_TRUE(ledger.can_skip(17, 9, 3, 500, 2, 999));   // fewer free nodes: harder
-  EXPECT_FALSE(ledger.can_skip(17, 10, 3, 500, 4, 100)); // machine mutated
-  EXPECT_FALSE(ledger.can_skip(17, 9, 4, 500, 4, 100));  // mate population changed
-  EXPECT_FALSE(ledger.can_skip(17, 9, 3, 501, 4, 100));  // different planned duration
-  EXPECT_FALSE(ledger.can_skip(17, 9, 3, 500, 5, 100));  // more free nodes than proven
-  EXPECT_FALSE(ledger.can_skip(17, 9, 3, 500, 4, 1000)); // truncation proof lapsed
-  EXPECT_FALSE(ledger.can_skip(3, 9, 3, 500, 4, 100));   // never recorded
-  EXPECT_FALSE(ledger.can_skip(99, 9, 3, 500, 4, 100));  // past the table
-
-  ledger.invalidate(17);
-  EXPECT_FALSE(ledger.can_skip(17, 9, 3, 500, 4, 100));
-  ledger.invalidate(99);  // past the table: harmless
-}
-
-// The registry epoch is one half of the ledger key: every membership
-// notification (seed, start, finish) must move it, or stale failures would
-// survive a mate-set change.
-TEST(SdSaturation, MateRegistryEpochTracksMembership) {
-  MateRegistry registry;
-  const std::uint64_t initial = registry.epoch();
-
-  JobRegistry jobs;
-  JobSpec spec;
-  spec.req_cpus = 4;
-  spec.base_runtime = 100;
-  spec.req_time = 200;
-  const JobId id = jobs.add(spec);
-
-  registry.seed(jobs);
-  EXPECT_EQ(registry.epoch(), initial + 1);
-
-  registry.on_start(jobs.at(id));
-  EXPECT_EQ(registry.epoch(), initial + 2);
-
-  registry.on_finish(id);
-  EXPECT_EQ(registry.epoch(), initial + 3);
+  EXPECT_TRUE(ledger.can_skip(17, 9, 500, 4, 100));
+  EXPECT_TRUE(ledger.can_skip(17, 9, 500, 2, 999));   // fewer free nodes: harder
+  EXPECT_FALSE(ledger.can_skip(17, 10, 500, 4, 100)); // machine mutated
+  EXPECT_FALSE(ledger.can_skip(17, 9, 501, 4, 100));  // different planned duration
+  EXPECT_FALSE(ledger.can_skip(17, 9, 500, 5, 100));  // more free nodes than proven
+  EXPECT_FALSE(ledger.can_skip(17, 9, 500, 4, 1000)); // truncation proof lapsed
+  EXPECT_FALSE(ledger.can_skip(3, 9, 500, 4, 100));   // never recorded
+  EXPECT_FALSE(ledger.can_skip(99, 9, 500, 4, 100));  // past the table
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/mate_registry.h"
 #include "job/job_registry.h"
+#include "model/runtime_model.h"
 
 namespace sdsched {
 namespace {
@@ -33,13 +35,14 @@ TEST(Job, AllocatedAndMinCpus) {
   Job job;
   job.shares = {{0, 24, 48}, {1, 48, 48}, {2, 30, 48}};
   EXPECT_EQ(job.allocated_cpus(), 102);
-  EXPECT_EQ(job.min_cpus_per_node(), 24);
+  // Eq. 6 runs at the least-provisioned node's ratio: 24 of 48.
+  EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::WorstCase, job.shares, 144), 0.5);
 }
 
 TEST(Job, EmptySharesGiveZero) {
   Job job;
   EXPECT_EQ(job.allocated_cpus(), 0);
-  EXPECT_EQ(job.min_cpus_per_node(), 0);
+  EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::WorstCase, job.shares, 48), 0.0);
 }
 
 TEST(Job, MalleabilityPredicates) {
@@ -103,7 +106,9 @@ TEST(JobRegistry, RunningIdsFiltersStates) {
   registry.add(spec);
   registry.add(spec);
   registry.at(1).state = JobState::Running;
-  EXPECT_EQ(registry.running_ids(), (std::vector<JobId>{1}));
+  MateRegistry running;
+  running.seed(registry);
+  EXPECT_EQ(running.running(), (std::vector<JobId>{1}));
 }
 
 }  // namespace

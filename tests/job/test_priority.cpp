@@ -23,8 +23,8 @@ TEST(Priority, FcfsIsQueueOrder) {
   add_job(jobs, queue, 100, 4);
   add_job(jobs, queue, 50, 1);
   add_job(jobs, queue, 75, 2);
-  const PriorityConfig config;  // Fcfs
-  EXPECT_EQ(priority_order(config, queue, jobs, 200), (std::vector<JobId>{1, 2, 0}));
+  queue.configure(PriorityConfig{}, &jobs);  // Fcfs
+  EXPECT_EQ(queue.scheduling_order(200), (std::vector<JobId>{1, 2, 0}));
 }
 
 TEST(Priority, SmallestFirstOrdersByNodes) {
@@ -35,7 +35,8 @@ TEST(Priority, SmallestFirstOrdersByNodes) {
   add_job(jobs, queue, 2, 2);
   PriorityConfig config;
   config.kind = PriorityKind::SmallestFirst;
-  EXPECT_EQ(priority_order(config, queue, jobs, 10), (std::vector<JobId>{1, 2, 0}));
+  queue.configure(config, &jobs);
+  EXPECT_EQ(queue.scheduling_order(10), (std::vector<JobId>{1, 2, 0}));
 }
 
 TEST(Priority, SmallestFirstTiesStayFcfs) {
@@ -46,7 +47,8 @@ TEST(Priority, SmallestFirstTiesStayFcfs) {
   add_job(jobs, queue, 2, 2);
   PriorityConfig config;
   config.kind = PriorityKind::SmallestFirst;
-  EXPECT_EQ(priority_order(config, queue, jobs, 10), (std::vector<JobId>{0, 1, 2}));
+  queue.configure(config, &jobs);
+  EXPECT_EQ(queue.scheduling_order(10), (std::vector<JobId>{0, 1, 2}));
 }
 
 TEST(Priority, MultifactorAgeGrowsAndSaturates) {

@@ -10,7 +10,7 @@ TEST(WaitQueue, FcfsOrder) {
   queue.push(1, 100);
   queue.push(2, 200);
   queue.push(3, 150);
-  EXPECT_EQ(queue.ordered_ids(), (std::vector<JobId>{1, 3, 2}));
+  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{1, 3, 2}));
   EXPECT_EQ(queue.front(), 1u);
 }
 
@@ -19,7 +19,7 @@ TEST(WaitQueue, TiesBreakById) {
   queue.push(5, 100);
   queue.push(2, 100);
   queue.push(9, 100);
-  EXPECT_EQ(queue.ordered_ids(), (std::vector<JobId>{2, 5, 9}));
+  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{2, 5, 9}));
 }
 
 TEST(WaitQueue, RemoveMiddle) {
@@ -29,7 +29,7 @@ TEST(WaitQueue, RemoveMiddle) {
   queue.push(3, 3);
   EXPECT_TRUE(queue.remove(2));
   EXPECT_FALSE(queue.remove(2));
-  EXPECT_EQ(queue.ordered_ids(), (std::vector<JobId>{1, 3}));
+  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{1, 3}));
   EXPECT_EQ(queue.size(), 2u);
 }
 
@@ -127,7 +127,7 @@ TEST(WaitQueue, InOrderPushIsCommonCase) {
   for (JobId id = 0; id < 100; ++id) {
     queue.push(id, static_cast<SimTime>(id * 10));
   }
-  const auto ids = queue.ordered_ids();
+  const auto ids = queue.scheduling_order(0);
   for (JobId id = 0; id < 100; ++id) {
     EXPECT_EQ(ids[id], id);
   }

@@ -9,7 +9,7 @@ namespace {
 
 class NodePerfTest : public ::testing::Test {
  protected:
-  NodePerfTest() : machine_(make_config()), model_(table2_profiles(), 1.0) {}
+  NodePerfTest() : machine_(make_config()), model_(table2_profiles()) {}
 
   static MachineConfig make_config() {
     MachineConfig config;

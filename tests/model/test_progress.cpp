@@ -52,9 +52,9 @@ TEST(Progress, ExpandRestoresFullSpeed) {
   tracker.set_rate_from_shares(job);
   tracker.settle(job, 1000);  // 500s of work done at rate 0.5
   job.shares[0].cpus = 48;
-  const SimTime finish = tracker.reconfigure(job, 1000);
+  tracker.set_rate_from_shares(job);
   EXPECT_DOUBLE_EQ(job.rate, 1.0);
-  EXPECT_EQ(finish, 1500);  // 500s of work left at full speed
+  EXPECT_EQ(tracker.remaining_wallclock(job), 500);  // 500s of work left at full speed
 }
 
 TEST(Progress, MultiSlotIntegrationMatchesEq6) {
@@ -68,17 +68,22 @@ TEST(Progress, MultiSlotIntegrationMatchesEq6) {
   EXPECT_DOUBLE_EQ(job.rate, 0.5);
   tracker.settle(job, 900);  // +300 -> 600
   job.shares[1].cpus = 48;
-  const SimTime finish = tracker.reconfigure(job, 900);
-  EXPECT_EQ(finish, 1300);  // 400 work left at rate 1
+  tracker.set_rate_from_shares(job);
+  EXPECT_EQ(900 + tracker.remaining_wallclock(job), 1300);  // 400 work left at rate 1
   // The paper's "increase": actual 1300 vs static 1000 = the 300s lost.
 }
 
 TEST(Progress, ReconfigureIsIdempotentAtSameInstant) {
   ProgressTracker tracker(RuntimeModelKind::Ideal);
   Job job = make_job(500, 48, {{0, 48, 48}});
+  const auto finish_after_reconfigure = [&] {
+    tracker.settle(job, 100);
+    tracker.set_rate_from_shares(job);
+    return 100 + tracker.remaining_wallclock(job);
+  };
   tracker.set_rate_from_shares(job);
-  const SimTime f1 = tracker.reconfigure(job, 100);
-  const SimTime f2 = tracker.reconfigure(job, 100);
+  const SimTime f1 = finish_after_reconfigure();
+  const SimTime f2 = finish_after_reconfigure();
   EXPECT_EQ(f1, f2);
 }
 

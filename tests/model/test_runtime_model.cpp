@@ -61,10 +61,11 @@ TEST(RuntimeModel, EmptySharesZeroRate) {
   EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::WorstCase, {}, 48), 0.0);
 }
 
+// No clamp: a job holding more cores than it requested runs superlinear.
 TEST(RuntimeModel, ClampSuperlinear) {
   const std::vector<NodeShare> shares{{0, 48, 24}};  // inherited extra cores
-  EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::Ideal, shares, 24, false), 2.0);
-  EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::Ideal, shares, 24, true), 1.0);
+  EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::Ideal, shares, 24), 2.0);
+  EXPECT_DOUBLE_EQ(progress_rate(RuntimeModelKind::WorstCase, shares, 24), 2.0);
 }
 
 TEST(RuntimeModel, IncreaseForRateClosedForm) {

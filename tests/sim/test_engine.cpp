@@ -48,7 +48,7 @@ TEST(Engine, ScheduleAfterUsesNow) {
   SimTime seen = -1;
   engine.set_handler([&](const EventQueue::Fired& f) {
     if (f.event.kind == EventKind::JobSubmit) {
-      engine.schedule_after(7, Event{EventKind::SchedulerTick, kInvalidJob});
+      engine.schedule_at(engine.now() + 7, Event{EventKind::SchedulerTick, kInvalidJob});
     } else {
       seen = f.time;
     }

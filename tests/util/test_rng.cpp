@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -89,34 +88,6 @@ TEST(Rng, ExponentialMeanIsInverseRate) {
   EXPECT_NEAR(sum / n, 4.0, 0.15);
 }
 
-TEST(Rng, GammaMeanIsShapeTimesScale) {
-  Rng rng(29);
-  double sum = 0.0;
-  constexpr int n = 50000;
-  for (int i = 0; i < n; ++i) sum += rng.gamma(2.5, 3.0);
-  EXPECT_NEAR(sum / n, 7.5, 0.2);
-}
-
-TEST(Rng, GammaShapeBelowOne) {
-  Rng rng(31);
-  double sum = 0.0;
-  constexpr int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.gamma(0.5, 2.0);
-    EXPECT_GE(x, 0.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / n, 1.0, 0.1);
-}
-
-TEST(Rng, WeibullShapeOneIsExponential) {
-  Rng rng(37);
-  double sum = 0.0;
-  constexpr int n = 50000;
-  for (int i = 0; i < n; ++i) sum += rng.weibull(1.0, 5.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.2);
-}
-
 TEST(Rng, WeightedIndexRespectsWeights) {
   Rng rng(41);
   const double weights[] = {1.0, 3.0, 6.0};
@@ -136,16 +107,6 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(47);
-  std::vector<int> items{1, 2, 3, 4, 5, 6, 7, 8};
-  auto shuffled = items;
-  rng.shuffle(shuffled);
-  auto sorted = shuffled;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, items);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

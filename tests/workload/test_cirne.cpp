@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/rng.h"
 
 namespace sdsched {
@@ -54,6 +56,16 @@ TEST(Cirne, RespectsSizeBounds) {
     EXPECT_GE(spec.base_runtime, 1);
     EXPECT_LE(spec.base_runtime, config.max_runtime);
     EXPECT_GE(spec.req_time, spec.base_runtime);
+  }
+}
+
+// An empty machine or size range errors instead of dividing by zero.
+TEST(Cirne, RejectsEmptyMachine) {
+  for (int CirneConfig::*field :
+       {&CirneConfig::system_nodes, &CirneConfig::cores_per_node, &CirneConfig::max_job_nodes}) {
+    CirneConfig config = small_config();
+    config.*field = 0;
+    EXPECT_THROW((void)generate_cirne(config), std::invalid_argument);
   }
 }
 
