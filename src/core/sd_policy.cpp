@@ -32,7 +32,8 @@ void SdPolicyScheduler::schedule_pass(SimTime now) {
     }
   }
   guests_considered_ = 0;
-  BackfillScheduler::schedule_pass(now);
+  // Never the quiet-pass skip: Listing 1's mall_end moves with `now`.
+  run_pass(now);
 }
 
 void SdPolicyScheduler::annotate(SimulationReport& report) const {
@@ -66,7 +67,7 @@ double SdPolicyScheduler::pass_cutoff(SimTime now) {
   return cutoff_value_;
 }
 
-bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
+bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, StaticEstimate& est_start,
                                       ReservationProfile& profile) {
   if (!job.can_start_shrunk()) return false;
 
@@ -84,9 +85,10 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
 
   // Listing 1: pre-selection estimate. Malleability must beat the static
   // wait before we even search for mates. All estimates use the scheduler's
-  // working duration (the prediction when future-work #2 is enabled).
+  // working duration (the prediction when future-work #2 is enabled). The
+  // static estimate is read only here, past the cheap rejections above.
   const SimTime planned = effective_req_time(job.spec);
-  const SimTime static_end = static_end_for(est_start, planned);
+  const SimTime static_end = static_end_for(est_start.get(), planned);
   const SimTime mall_end_quick = quick_mall_end(now, planned, sd_config_.sharing_factor);
   if (static_end <= mall_end_quick) {
     ++estimate_rejections_;

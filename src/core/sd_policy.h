@@ -10,7 +10,10 @@
 // — and only when static_end > mall_end asks the MateSelector for the
 // minimum-Performance-Impact mate set. A successful plan starts the job
 // immediately on the mates' shrunk shares, extends the mates' predicted
-// ends, and keeps the pass's reservation profile consistent.
+// ends, and keeps the pass's reservation profile consistent. The static
+// estimate arrives as backfill's lazy StaticEstimate handle and is swept
+// only after the can_start_shrunk and guest-budget checks. SD passes never
+// take backfill's quiet-pass skip: mall_end moves with `now`.
 //
 // The policy owns a MateRegistry — the incrementally maintained running /
 // eligible-mate id sets fed by the start and finish notifications the
@@ -84,7 +87,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   }
 
  protected:
-  bool try_malleable(SimTime now, Job& job, SimTime est_start,
+  bool try_malleable(SimTime now, Job& job, StaticEstimate& est_start,
                      ReservationProfile& profile) override;
 
   void on_job_started(JobId job) override { mate_registry_.on_start(jobs_.at(job)); }

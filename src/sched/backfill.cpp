@@ -11,7 +11,8 @@
 
 namespace sdsched {
 
-bool BackfillScheduler::try_malleable(SimTime /*now*/, Job& /*job*/, SimTime /*est_start*/,
+bool BackfillScheduler::try_malleable(SimTime /*now*/, Job& /*job*/,
+                                      StaticEstimate& /*est_start*/,
                                       ReservationProfile& /*profile*/) {
   return false;  // static baseline: no malleability
 }
@@ -92,10 +93,56 @@ void BackfillScheduler::reserve_window(SimTime start, SimTime end, int nodes,
   }
 }
 
+SimTime BackfillScheduler::static_estimate(SimTime now, const JobSpec& spec,
+                                           SimTime planned) {
+  const SimTime est = profile_.earliest_start(spec.req_nodes, planned, now);
+  if (est == ReservationProfile::kNever || spec.constraints.unconstrained()) return est;
+  // The shared profile is class-blind; the class layer knows how many
+  // *eligible* nodes are free over the window. Take the later of the two
+  // answers — exact where the counts model applies.
+  const ReservationProfile* layer = class_profile(now, spec.constraints);
+  if (layer == nullptr) return est;
+  const SimTime class_est = layer->earliest_start(spec.req_nodes, planned, now);
+  assert(class_est != ReservationProfile::kNever &&
+         "eligible-node cancel check bounds the class-layer capacity");
+  return std::max(est, class_est);
+}
+
+bool BackfillScheduler::fits_now(SimTime now, const JobSpec& spec, SimTime planned) {
+  const bool shared_fits = profile_.fits(spec.req_nodes, planned, now);
+  if (spec.constraints.unconstrained()) return shared_fits;
+  // Build the class layer even when the shared answer is already no: a
+  // layer built later would see this pass's starts through its base
+  // snapshot instead of as class-blind reservations.
+  const ReservationProfile* layer = class_profile(now, spec.constraints);
+  return shared_fits && (layer == nullptr || layer->fits(spec.req_nodes, planned, now));
+}
+
 void BackfillScheduler::schedule_pass(SimTime now) {
   require_cluster_index();
   if (queue_.empty()) return;
+  const bool quiet_repeat = quiet_ && quiet_serial_ == cluster_index_->mutation_serial() &&
+                            profile_.first_release_time() > now &&
+                            config_.priority.kind != PriorityKind::Multifactor;
+  if (!quiet_repeat) {
+    run_pass(now);
+    return;
+  }
+  if (!cluster_index_->crosscheck()) {
+    ++passes_skipped_;
+    return;
+  }
+  run_pass(now);
+  if (!quiet_) {
+    throw std::logic_error("quiet-pass skip diverged: the repeated pass at t=" +
+                           std::to_string(now) + " started, cancelled or held a job");
+  }
+}
+
+void BackfillScheduler::run_pass(SimTime now) {
+  if (queue_.empty()) return;
   ReservationProfile& profile = pass_profile(now);
+  bool quiet = true;
   int reservations = 0;
   int examined = 0;
   for (const JobId id : scheduling_order(now)) {
@@ -108,30 +155,30 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       job.state = JobState::Cancelled;
       queue_.remove(id);
       ++cancelled_;
+      quiet = false;
       continue;
     }
     const SimTime planned = effective_req_time(job.spec);
-    SimTime est = profile.earliest_start(req_nodes, planned, now);
-    if (est == ReservationProfile::kNever) {
-      // Larger than the machine (cannot happen for prepared workloads).
-      log_warn("backfill", "job ", id, " can never fit; cancelling");
-      job.state = JobState::Cancelled;
-      queue_.remove(id);
-      ++cancelled_;
-      continue;
-    }
-    if (!job.spec.constraints.unconstrained()) {
-      // The shared profile is class-blind; the class layer knows how many
-      // *eligible* nodes are free over the window. Take the later of the
-      // two answers — exact where the counts model applies.
-      if (ReservationProfile* layer = class_profile(now, job.spec.constraints)) {
-        const SimTime class_est = layer->earliest_start(req_nodes, planned, now);
-        assert(class_est != ReservationProfile::kNever &&
-               "eligible-node cancel check bounds the class-layer capacity");
-        est = std::max(est, class_est);
+    const bool reserving = reservations < config_.reservation_depth;
+    // While reservations remain the full estimate is needed anyway; past
+    // the depth only "does it start now?" is, and fits() answers it.
+    std::optional<SimTime> est;
+    if (reserving) {
+      est = static_estimate(now, job.spec, planned);
+      if (*est == ReservationProfile::kNever) {
+        // Larger than the machine (cannot happen for prepared workloads).
+        // Past the depth the eligible-node check above cancels these; a
+        // job blocked only by a permanent reservation stays queued there.
+        log_warn("backfill", "job ", id, " can never fit; cancelling");
+        job.state = JobState::Cancelled;
+        queue_.remove(id);
+        ++cancelled_;
+        quiet = false;
+        continue;
       }
     }
-    if (est == now) {
+    if (reserving ? *est == now : fits_now(now, job.spec, planned)) {
+      quiet = false;
       const auto nodes = cluster_index_->find_free_nodes(req_nodes, &job.spec.constraints);
       if (nodes) {
         queue_.remove(id);
@@ -144,6 +191,10 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       if (job.spec.constraints.unconstrained()) {
         // The profile's availability at `now` mirrors the machine exactly
         // for unconstrained jobs; divergence means kernel bookkeeping broke.
+        if (cluster_index_->crosscheck()) {
+          throw std::logic_error("backfill: profile/machine divergence for job " +
+                                 std::to_string(id) + " at t=" + std::to_string(now));
+        }
         log_error("backfill", "profile/machine divergence for job ", id);
         continue;
       }
@@ -151,23 +202,27 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       // for contiguous requests (fragmentation is invisible to per-class
       // counts) and for machines with more than 64 attribute classes (no
       // class layer). Hold the nodes conservatively and retry next pass.
-      if (reservations < config_.reservation_depth) {
+      if (reserving) {
         reserve_window(now, now + std::max<SimTime>(planned, 1), req_nodes,
                        /*occupancy_backed=*/false);
         ++reservations;
       }
       continue;
     }
-    if (try_malleable(now, job, est, profile)) {
+    StaticEstimate handle(*this, job.spec, now, planned, est);
+    if (try_malleable(now, job, handle, profile)) {
+      quiet = false;
       queue_.remove(id);
       continue;
     }
-    if (reservations < config_.reservation_depth) {
-      reserve_window(est, est + std::max<SimTime>(planned, 1), req_nodes,
+    if (reserving) {
+      reserve_window(*est, *est + std::max<SimTime>(planned, 1), req_nodes,
                      /*occupancy_backed=*/false);
       ++reservations;
     }
   }
+  quiet_ = quiet;
+  quiet_serial_ = cluster_index_->mutation_serial();
 }
 
 }  // namespace sdsched

@@ -16,6 +16,28 @@
 // The resulting decisions are identical to the historical rebuild-per-pass
 // scheme (SLURM backfill-cycle semantics); only the cost changed.
 //
+// Two shortcuts skip work no decision reads:
+//   * the full static estimate (a sweep of the profile, maxed with the
+//     class layer for constrained jobs) is computed only while
+//     reservations remain, where the reservation needs it; est == now
+//     doubles as the "fits now" answer. Past reservation_depth a job can
+//     only start now, so the pass asks ReservationProfile::fits(), which
+//     stops at the first breakpoint that falls short. try_malleable()
+//     receives the estimate as a memoized StaticEstimate handle and sweeps
+//     only when it calls get() — SD-Policy does so after its cheap
+//     rejections, so a budget-deferred guest never pays for a sweep;
+//   * schedule_pass() returns at once when it would repeat a quiet pass —
+//     the previous pass started, cancelled and held nothing, no job was
+//     submitted since, the cluster's mutation_serial() is unchanged, no
+//     release breakpoint has reached `now` and the priority does not move
+//     with time (not Multifactor). Such a pass would recompute the same
+//     estimates and reservations (docs/determinism.md "Quiet-pass skip
+//     safety"), as SLURM's backfill skips a cycle with no new work.
+//     passes_skipped() counts them; under the crosscheck switch every
+//     would-be-skipped pass runs and throws std::logic_error if it starts,
+//     cancels or holds anything. SD-Policy runs the unskipped body
+//     (run_pass()): its Listing 1 estimate moves with `now`.
+//
 // Constrained jobs additionally read a per-attribute-class profile layer:
 // the shared profile is class-blind, so a job whose constraints exclude
 // part of the machine used to see over-optimistic earliest starts and fall
@@ -33,6 +55,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -45,7 +68,12 @@ class BackfillScheduler : public Scheduler {
  public:
   using Scheduler::Scheduler;
 
+  /// One pass, or nothing when it would repeat a quiet pass (header comment).
   void schedule_pass(SimTime now) override;
+  void on_submit(JobId job) override {
+    quiet_ = false;
+    Scheduler::on_submit(job);
+  }
   [[nodiscard]] const char* name() const noexcept override { return "backfill"; }
   void annotate(SimulationReport& report) const override;
 
@@ -56,6 +84,9 @@ class BackfillScheduler : public Scheduler {
   /// since the previous pass (observability for the microbench).
   [[nodiscard]] std::uint64_t profile_reuses() const noexcept { return profile_reuses_; }
   [[nodiscard]] std::uint64_t profile_rebuilds() const noexcept { return profile_rebuilds_; }
+
+  /// Passes that returned at once because they would repeat a quiet pass.
+  [[nodiscard]] std::uint64_t passes_skipped() const noexcept { return passes_skipped_; }
 
   /// Per-class profile layers assembled for constrained jobs (observability).
   [[nodiscard]] std::uint64_t class_layer_builds() const noexcept {
@@ -68,12 +99,41 @@ class BackfillScheduler : public Scheduler {
   }
 
  protected:
-  /// Policy hook: attempt a malleable start for `job`, whose statically
-  /// estimated start is `est_start` (> now). Implementations must apply the
-  /// start through the executor, keep `profile` consistent (extend mates'
-  /// occupancy, reserve free nodes they consume — via reserve_window so the
-  /// class layers stay in sync) and return true.
-  virtual bool try_malleable(SimTime now, Job& job, SimTime est_start,
+  /// A job's static earliest start on the pass profile (maxed with its
+  /// class layer), swept on the first get() and memoized. Valid only
+  /// within the try_malleable() call it is handed to, and get() must come
+  /// before the hook edits the profile.
+  class StaticEstimate {
+   public:
+    [[nodiscard]] SimTime get() {
+      if (!value_) value_ = scheduler_.static_estimate(now_, spec_, planned_);
+      return *value_;
+    }
+
+   private:
+    friend class BackfillScheduler;
+    StaticEstimate(BackfillScheduler& scheduler, const JobSpec& spec, SimTime now,
+                   SimTime planned, std::optional<SimTime> value) noexcept
+        : scheduler_(scheduler), spec_(spec), now_(now), planned_(planned), value_(value) {}
+
+    BackfillScheduler& scheduler_;
+    const JobSpec& spec_;
+    SimTime now_;
+    SimTime planned_;
+    std::optional<SimTime> value_;
+  };
+
+  /// The pass body schedule_pass() runs unless it skips a quiet repeat.
+  /// Requires an attached cluster index.
+  void run_pass(SimTime now);
+
+  /// Policy hook: attempt a malleable start for `job`, which cannot start
+  /// now; `est_start.get()` is its static earliest start (> now).
+  /// Implementations must apply the start through the executor, keep
+  /// `profile` consistent (extend mates' occupancy, reserve free nodes they
+  /// consume — via reserve_window so the class layers stay in sync) and
+  /// return true.
+  virtual bool try_malleable(SimTime now, Job& job, StaticEstimate& est_start,
                              ReservationProfile& profile);
 
   /// The pass profile: base snapshot refreshed only when the cluster index
@@ -107,7 +167,15 @@ class BackfillScheduler : public Scheduler {
   void reserve_window(SimTime start, SimTime end, int nodes, bool occupancy_backed);
 
  private:
+  /// Shared-profile earliest start maxed with the class layer's; kNever
+  /// when the request exceeds the machine.
+  [[nodiscard]] SimTime static_estimate(SimTime now, const JobSpec& spec, SimTime planned);
+
+  /// static_estimate(...) == now, answered by ReservationProfile::fits().
+  [[nodiscard]] bool fits_now(SimTime now, const JobSpec& spec, SimTime planned);
+
   std::uint64_t cancelled_ = 0;
+  std::uint64_t passes_skipped_ = 0;
   std::uint64_t profile_reuses_ = 0;
   std::uint64_t profile_rebuilds_ = 0;
   std::uint64_t class_layer_builds_ = 0;
@@ -116,6 +184,9 @@ class BackfillScheduler : public Scheduler {
   std::uint64_t profile_version_ = 0;  ///< index version the base reflects
   bool profile_valid_ = false;
   std::vector<std::pair<SimTime, int>> scratch_groups_;  ///< reused allocation
+
+  bool quiet_ = false;  ///< last pass decided nothing; no submit since
+  std::uint64_t quiet_serial_ = 0;  ///< mutation_serial() after that pass
 
   struct ClassLayer {
     std::uint64_t mask = 0;  ///< eligible-class bit set this layer covers

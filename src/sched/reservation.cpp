@@ -98,6 +98,20 @@ int ReservationProfile::min_available(SimTime start, SimTime duration) const {
   return min_free;
 }
 
+bool ReservationProfile::fits(int nodes, SimTime duration, SimTime start) const {
+  if (nodes > capacity_) return false;
+  if (nodes <= 0) return true;
+  const SimTime end = std::min(start + std::max<SimTime>(duration, 1), kForever);
+
+  Sweep sweep = sweep_at(start);
+  if (sweep.free() < nodes) return false;
+  for (SimTime t = next_breakpoint(sweep); t < end; t = next_breakpoint(sweep)) {
+    advance_to(sweep, t);
+    if (sweep.free() < nodes) return false;
+  }
+  return true;
+}
+
 SimTime ReservationProfile::earliest_start(int nodes, SimTime duration,
                                            SimTime not_before) const {
   if (nodes > capacity_) return kNever;

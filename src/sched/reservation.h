@@ -57,6 +57,12 @@ class ReservationProfile {
   /// unless nodes > capacity, which returns kNever.
   [[nodiscard]] SimTime earliest_start(int nodes, SimTime duration, SimTime not_before) const;
 
+  /// Whether `nodes` are free during the whole window [start, start +
+  /// duration) (duration clamped to 1): for start >= 0 exactly
+  /// earliest_start(nodes, duration, start) == start, but the sweep stops
+  /// at the first breakpoint that falls short.
+  [[nodiscard]] bool fits(int nodes, SimTime duration, SimTime start) const;
+
   /// Breakpoints currently held (base + overlay) — observability for the
   /// scheduler microbench.
   [[nodiscard]] std::size_t breakpoint_count() const noexcept {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "../sched/scheduler_test_harness.h"
+#include "../scoped_env.h"
 
 namespace sdsched {
 namespace {
@@ -216,6 +219,41 @@ TEST_F(SdPolicyTest, DynAvgSdIsConservativeOnLoneMate) {
   dyn.schedule_pass(10);
   EXPECT_TRUE(executor_.guest_starts.empty());
   EXPECT_TRUE(dyn.queue().contains(b));
+}
+
+// Backfill skips a pass that would repeat a quiet one; SD-Policy never
+// does, since its Listing 1 estimate moves with `now`. The crosscheck is
+// pinned off before the index reads it (it would run the repeat anyway).
+TEST(SdPolicyQuietPass, NeverSkipsARepeat) {
+  const testing_support::ScopedEnv off("SDSCHED_CROSSCHECK", std::nullopt);
+  MachineConfig config;
+  config.nodes = 4;
+  config.node = NodeConfig{2, 24};
+  Machine machine(config);
+  JobRegistry jobs;
+  DromRegistry drom;
+  NodeManager mgr(machine, jobs, drom);
+  RecordingExecutor executor(machine, jobs, mgr);
+  ASSERT_FALSE(executor.index.crosscheck());
+  SdConfig sd;
+  sd.cutoff = CutoffConfig::infinite();
+  SdPolicyScheduler sched(machine, jobs, executor, SchedConfig{}, sd);
+  sched.set_cluster_index(&executor.index);
+
+  // A 4-node job fills the machine; a 2-node guest has no mate of its size
+  // (Eq. 3), so every pass over it decides nothing.
+  sched.on_submit(jobs.add(spec_of(0, 10000, 10000, 192, 48)));
+  sched.schedule_pass(0);
+  const JobId b = jobs.add(spec_of(10, 60, 60, 96, 48));
+  sched.on_submit(b);
+  executor.now = 10;
+  sched.schedule_pass(10);
+  const auto reuses = sched.profile_reuses();
+  executor.now = 20;
+  sched.schedule_pass(20);
+  EXPECT_EQ(sched.passes_skipped(), 0u);
+  EXPECT_EQ(sched.profile_reuses(), reuses + 1);
+  EXPECT_TRUE(sched.queue().contains(b));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../scoped_env.h"
@@ -313,6 +315,177 @@ TEST(BackfillCrosscheck, PassOverStaleIndexThrows) {
 
   sched.on_submit(jobs.add(spec_of(1, 10, 10, 48, 48)));
   EXPECT_THROW(sched.schedule_pass(1), std::logic_error);
+}
+
+// Quiet-pass skip: a pass that would repeat a pass which started, cancelled
+// and held nothing returns at once. The rig pins SDSCHED_CROSSCHECK before
+// the index reads it, since the crosscheck runs every would-be-skipped pass.
+struct QuietPassRig {
+  explicit QuietPassRig(std::optional<std::string> crosscheck = std::nullopt,
+                        SchedConfig config = {})
+      : env("SDSCHED_CROSSCHECK", std::move(crosscheck)),
+        machine(four_nodes()),
+        mgr(machine, jobs, drom),
+        executor(machine, jobs, mgr),
+        sched(machine, jobs, executor, config) {
+    sched.set_cluster_index(&executor.index);
+  }
+
+  static MachineConfig four_nodes() {
+    MachineConfig config;
+    config.nodes = 4;
+    config.node = NodeConfig{2, 24};
+    return config;
+  }
+
+  JobId submit(int cpus, SimTime runtime, SimTime req_time, SimTime submit_time = 0) {
+    const JobId id = jobs.add(spec_of(submit_time, runtime, req_time, cpus, 48));
+    sched.on_submit(id);
+    return id;
+  }
+
+  void pass(SimTime now) {
+    executor.now = now;
+    sched.schedule_pass(now);
+  }
+
+  /// A (2 nodes, really `a_runtime`s of a 100s request) runs; B (4 nodes)
+  /// waits for its reservation at t=100, so the pass at t=0 is quiet.
+  void run_quiet_pass(SimTime a_runtime = 100) {
+    a = submit(96, a_runtime, 100);
+    pass(0);
+    b = submit(192, 100, 100);
+    pass(0);
+    ASSERT_EQ(executor.static_starts, (std::vector<JobId>{a}));
+    ASSERT_EQ(sched.passes_skipped(), 0u);
+  }
+
+  testing_support::ScopedEnv env;
+  Machine machine;
+  JobRegistry jobs;
+  DromRegistry drom;
+  NodeManager mgr;
+  RecordingExecutor executor;
+  BackfillScheduler sched;
+  JobId a = kInvalidJob;
+  JobId b = kInvalidJob;
+};
+
+TEST(BackfillQuietPass, QuietRepeatIsSkipped) {
+  QuietPassRig rig;
+  rig.run_quiet_pass();
+  const auto reuses = rig.sched.profile_reuses();
+  rig.pass(10);
+  rig.pass(20);
+  EXPECT_EQ(rig.sched.passes_skipped(), 2u);
+  EXPECT_EQ(rig.sched.profile_reuses(), reuses);  // a skipped pass reads nothing
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{rig.a}));
+  EXPECT_TRUE(rig.sched.queue().contains(rig.b));
+}
+
+TEST(BackfillQuietPass, SubmitDefeatsSkip) {
+  QuietPassRig rig;
+  rig.run_quiet_pass();
+  // C (2 nodes, 50s) fits beside A and ends before B's reservation.
+  const JobId c = rig.submit(96, 50, 50, 10);
+  rig.pass(10);
+  EXPECT_EQ(rig.sched.passes_skipped(), 0u);
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{rig.a, c}));
+}
+
+TEST(BackfillQuietPass, FinishDefeatsSkip) {
+  QuietPassRig rig;
+  rig.run_quiet_pass(/*a_runtime=*/50);
+  // A finishes early: its release breakpoint (t=100) is still ahead, so
+  // only the changed mutation serial tells the pass to run.
+  finish(rig.jobs, rig.mgr, rig.a, 50);
+  rig.pass(50);
+  EXPECT_EQ(rig.sched.passes_skipped(), 0u);
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{rig.a, rig.b}));
+}
+
+TEST(BackfillQuietPass, ReachingFirstReleaseDefeatsSkip) {
+  QuietPassRig rig;
+  rig.run_quiet_pass();
+  const auto rebuilds = rig.sched.profile_rebuilds();
+  rig.pass(99);
+  EXPECT_EQ(rig.sched.passes_skipped(), 1u);
+  // A is overdue at its predicted end: the base must be re-clamped.
+  rig.pass(100);
+  EXPECT_EQ(rig.sched.passes_skipped(), 1u);
+  EXPECT_EQ(rig.sched.profile_rebuilds(), rebuilds + 1);
+}
+
+TEST(BackfillQuietPass, MultifactorPriorityNeverSkips) {
+  SchedConfig config;
+  config.priority.kind = PriorityKind::Multifactor;
+  QuietPassRig rig(std::nullopt, config);
+  rig.run_quiet_pass();
+  const auto reuses = rig.sched.profile_reuses();
+  rig.pass(10);
+  EXPECT_EQ(rig.sched.passes_skipped(), 0u);
+  EXPECT_EQ(rig.sched.profile_reuses(), reuses + 1);
+}
+
+// Under the crosscheck every would-be-skipped pass runs in full and must
+// prove itself quiet.
+TEST(BackfillQuietPass, CrosscheckRunsTheRepeat) {
+  QuietPassRig rig("1");
+  ASSERT_TRUE(rig.executor.index.crosscheck());
+  rig.run_quiet_pass();
+  const auto reuses = rig.sched.profile_reuses();
+  EXPECT_NO_THROW(rig.pass(10));
+  EXPECT_EQ(rig.sched.passes_skipped(), 0u);
+  EXPECT_EQ(rig.sched.profile_reuses(), reuses + 1);
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{rig.a}));
+}
+
+/// A policy hook that frees the whole pass profile, so the next job "fits"
+/// on paper while the machine has no node for it.
+class ProfileCorruptingScheduler final : public BackfillScheduler {
+ public:
+  using BackfillScheduler::BackfillScheduler;
+
+ protected:
+  bool try_malleable(SimTime now, Job& /*job*/, StaticEstimate& /*est_start*/,
+                     ReservationProfile& profile) override {
+    profile.set_base(profile.capacity(), now, {});
+    return false;
+  }
+};
+
+// An unconstrained job the profile says fits now but the machine cannot
+// place: a log line normally, a std::logic_error naming the job under the
+// crosscheck.
+TEST(BackfillCrosscheck, ProfileMachineDivergenceThrowsNamingTheJob) {
+  for (const bool crosscheck : {false, true}) {
+    QuietPassRig rig(crosscheck ? std::optional<std::string>("1") : std::nullopt);
+    ProfileCorruptingScheduler sched(rig.machine, rig.jobs, rig.executor, SchedConfig{});
+    sched.set_cluster_index(&rig.executor.index);
+    const JobId full = rig.jobs.add(spec_of(0, 100, 100, 192, 48));
+    sched.on_submit(full);
+    sched.schedule_pass(0);
+    ASSERT_EQ(rig.executor.static_starts, (std::vector<JobId>{full}));
+
+    const JobId blocked = rig.jobs.add(spec_of(1, 100, 100, 192, 48));
+    sched.on_submit(blocked);
+    const JobId small = rig.jobs.add(spec_of(1, 10, 10, 48, 48));
+    sched.on_submit(small);
+    rig.executor.now = 1;
+    if (!crosscheck) {
+      EXPECT_NO_THROW(sched.schedule_pass(1));
+      EXPECT_TRUE(sched.queue().contains(small));
+      continue;
+    }
+    try {
+      sched.schedule_pass(1);
+      ADD_FAILURE() << "divergence did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("job " + std::to_string(small)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace sdsched {
 namespace {
 
@@ -271,6 +273,62 @@ TEST(Reservation, RandomizedAgainstBruteForce) {
       }
       ASSERT_EQ(profile.min_available(ws, wd), expect_min)
           << "round " << round << " ws=" << ws << " wd=" << wd;
+    }
+  }
+}
+
+// fits() is the early-exit form of "earliest_start(...) == start": on
+// random base snapshots with overlay reservations (some permanent, some
+// starting exactly at a queried start) both must agree for every request
+// size up to capacity + 1, for zero and negative durations, and for starts
+// on and between breakpoints.
+TEST(ReservationProfile, FitsAgreesWithEarliestStart) {
+  Rng rng(0x5eedf175);
+  for (int round = 0; round < 500; ++round) {
+    const int capacity = static_cast<int>(rng.uniform_int(1, 12));
+    const SimTime origin = rng.uniform_int(0, 40);
+    std::vector<std::pair<SimTime, int>> groups;
+    SimTime release = origin;
+    int busy_left = capacity;
+    while (busy_left > 0 && !rng.chance(0.2)) {
+      release += rng.uniform_int(1, 30);
+      const int nodes = static_cast<int>(rng.uniform_int(1, busy_left));
+      groups.emplace_back(release, nodes);
+      busy_left -= nodes;
+    }
+    ReservationProfile profile;
+    profile.set_base(capacity, origin, groups);
+
+    std::vector<SimTime> breakpoints{origin};
+    for (const auto& group : groups) breakpoints.push_back(group.first);
+    const SimTime anchor = origin + rng.uniform_int(0, 60);
+    const int overlay = static_cast<int>(rng.uniform_int(0, 6));
+    for (int r = 0; r < overlay; ++r) {
+      const SimTime start = rng.chance(0.3) ? anchor : origin + rng.uniform_int(0, 120);
+      const SimTime end = rng.chance(0.1) ? ReservationProfile::kForever
+                                          : start + rng.uniform_int(1, 50);
+      profile.reserve(start, end, static_cast<int>(rng.uniform_int(1, 3)));
+      breakpoints.push_back(start);
+      if (end < ReservationProfile::kForever) breakpoints.push_back(end);
+    }
+
+    std::vector<SimTime> starts{anchor};
+    for (const SimTime t : breakpoints) {
+      starts.push_back(t);      // on a breakpoint
+      starts.push_back(t + 1);  // between breakpoints (or on the next one)
+      if (t > 0) starts.push_back(t - 1);
+    }
+    const SimTime durations[] = {-7, 0, 1, rng.uniform_int(2, 20), rng.uniform_int(20, 200),
+                                 1'000'000};
+    for (const SimTime start : starts) {
+      for (const SimTime duration : durations) {
+        for (int nodes = 0; nodes <= capacity + 1; ++nodes) {
+          ASSERT_EQ(profile.fits(nodes, duration, start),
+                    profile.earliest_start(nodes, duration, start) == start)
+              << "round " << round << " nodes=" << nodes << " duration=" << duration
+              << " start=" << start;
+        }
+      }
     }
   }
 }
