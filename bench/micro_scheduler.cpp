@@ -106,6 +106,28 @@ void BM_ReservationEarliestStart(benchmark::State& state) {
 }
 BENCHMARK(BM_ReservationEarliestStart);
 
+// The profile a saturated RICC pass queries: a base of 220 release groups
+// on 1024 nodes (982 busy), then 70 reservations placed where the profile
+// reports each one's earliest start.
+void BM_ReservationEarliestStartPassShape(benchmark::State& state) {
+  constexpr SimTime kNow = 100000;
+  std::vector<std::pair<SimTime, int>> groups;
+  for (int i = 0; i < 220; ++i) groups.emplace_back(kNow + (i + 1) * 600, 1 + i % 8);
+  ReservationProfile profile;
+  profile.set_base(1024, kNow, groups);
+  for (int r = 0; r < 70; ++r) {
+    const int nodes = 1 + (r * 37) % 64;
+    const SimTime duration = 3600 + (r * 7919) % 86400;
+    const SimTime start = profile.earliest_start(nodes, duration, kNow);
+    profile.reserve(start, start + duration, nodes);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(profile.earliest_start(128, 14400, kNow));
+  }
+  state.counters["breakpoints"] = static_cast<double>(profile.breakpoint_count());
+}
+BENCHMARK(BM_ReservationEarliestStartPassShape);
+
 void BM_MateSelection(benchmark::State& state) {
   const int running = static_cast<int>(state.range(0));
   MachineConfig mc;

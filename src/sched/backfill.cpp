@@ -40,7 +40,7 @@ ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
   if (profile_valid_ && profile_version_ == cluster_index_->version() &&
       profile_.first_release_time() > now) {
     // Nothing changed since the last pass and no release crossed `now`:
-    // the base snapshot is still exact. Drop only the pass overlay.
+    // the base snapshot is still exact. Drop only the pass's reservations.
     profile_.clear_overlay();
     ++profile_reuses_;
     return profile_;

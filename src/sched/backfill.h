@@ -4,9 +4,9 @@
 // Every pass refreshes the reservation profile — the base snapshot comes
 // from the attached ClusterStateIndex (a pass without one throws
 // std::logic_error) and is *reused* across passes while the
-// cluster is unchanged (O(1)); only the pass's own reservations (a small
-// overlay) are dropped and re-derived. The pass then walks the wait queue
-// in priority order:
+// cluster is unchanged; the profile's step array is restored from its
+// saved base copy, dropping the pass's own reservations, which are then
+// re-derived. The pass then walks the wait queue in priority order:
 //   * a job whose earliest feasible start is *now* starts immediately;
 //   * otherwise the policy hook try_malleable() may co-schedule it
 //     (SD-Policy overrides this; the static baseline declines);
@@ -137,8 +137,8 @@ class BackfillScheduler : public Scheduler {
                              ReservationProfile& profile);
 
   /// The pass profile: base snapshot refreshed only when the cluster index
-  /// reports a change (or a release breakpoint crossed `now`), overlay
-  /// cleared.
+  /// reports a change (or a release breakpoint crossed `now`), otherwise
+  /// restored from the saved base copy.
   [[nodiscard]] ReservationProfile& pass_profile(SimTime now);
 
   /// Eligible-node count for constraint filtering: O(attribute classes).

@@ -1,18 +1,21 @@
 // Node-availability profile ("map of jobs reservations in time", §3.1).
 //
-// A piecewise-constant step function of free whole nodes over time, split
-// into two layers so scheduling passes stop rebuilding the world:
+// A piecewise-constant step function of free whole nodes over time, held as
+// one sorted step array: `times_[i]` is where a step begins and `free_[i]`
+// the free-node count that holds until the next step (capacity before the
+// first). Scheduling passes stop rebuilding the world by keeping a saved
+// copy of the **base snapshot** — the running jobs' predicted releases,
+// installed via set_base() from the ClusterStateIndex and *reused* across
+// passes while the cluster is unchanged:
 //
-//  * a **base snapshot** — flat, sorted, cumulative free-count breakpoints
-//    describing the running jobs' predicted releases. Installed via
-//    set_base() from the ClusterStateIndex and *reused*
-//    across passes while the cluster is unchanged;
-//  * a **pass overlay** — a small sorted delta vector holding only the
-//    reservations the current pass itself places (reserve()).
-//    clear_overlay() is the per-pass undo log: O(overlay), not O(world).
+//  * reserve() materializes a pass's own reservation in the array: it
+//    splits the steps at its start and end and subtracts from those between;
+//  * clear_overlay() copies the saved base back, and only when the pass
+//    reserved something.
 //
-// Queries merge-walk both layers. Both the backfill baseline and the
-// SD-Policy's static_end estimate (Listing 1) read this profile.
+// Every query is one binary search plus forward loops over the array. Both
+// the backfill baseline and the SD-Policy's static_end estimate (Listing 1)
+// read this profile.
 #pragma once
 
 #include <cstddef>
@@ -34,12 +37,12 @@ class ReservationProfile {
 
   /// Install the base snapshot: `busy_groups` is an ascending (free_at,
   /// nodes) sequence meaning `nodes` nodes stay busy over [origin, free_at).
-  /// Every free_at must be > origin. Clears the overlay.
+  /// Every free_at must be > origin. Drops every reservation.
   void set_base(int capacity, SimTime origin,
                 const std::vector<std::pair<SimTime, int>>& busy_groups);
 
   /// Drop the pass's own reservations, keeping the base snapshot.
-  void clear_overlay() noexcept { overlay_.clear(); }
+  void clear_overlay();
 
   /// Remove `nodes` of availability over [start, end). end may be kForever.
   /// Callers reserve only what earliest_start() said was free.
@@ -60,52 +63,43 @@ class ReservationProfile {
   /// Whether `nodes` are free during the whole window [start, start +
   /// duration) (duration clamped to 1): for start >= 0 exactly
   /// earliest_start(nodes, duration, start) == start, but the sweep stops
-  /// at the first breakpoint that falls short.
+  /// at the first step that falls short.
   [[nodiscard]] bool fits(int nodes, SimTime duration, SimTime start) const;
 
-  /// Breakpoints currently held (base + overlay) — observability for the
-  /// scheduler microbench.
-  [[nodiscard]] std::size_t breakpoint_count() const noexcept {
-    return base_.size() + overlay_.size();
-  }
+  /// Distinct step times currently held (base and reservations merged) —
+  /// observability for the scheduler microbench.
+  [[nodiscard]] std::size_t breakpoint_count() const noexcept { return times_.size(); }
 
   /// Earliest base release (kForever when the base is flat). A snapshot
   /// built at pass time t0 stays valid at a later pass time t1 only while
   /// t1 < first_release_time(): the first release crossing `now` re-clamps
   /// overdue occupants, so the scheduler must refresh its base then.
   [[nodiscard]] SimTime first_release_time() const noexcept {
-    return base_.size() > 1 ? base_[1].time : kForever;
+    return base_times_.size() > 1 ? base_times_[1] : kForever;
   }
 
+  /// Window ends saturate here: every duration reaching past it (up to
+  /// INT64_MAX) behaves as a window that never closes.
   static constexpr SimTime kForever = INT64_MAX / 4;
   static constexpr SimTime kNever = -1;
 
  private:
-  struct Step {
-    SimTime time;  ///< free count holds from this time until the next step
-    int free;      ///< base free nodes (before overlay deltas)
-  };
-
-  /// Base free count at time t (capacity before the first step).
-  [[nodiscard]] int base_free_at(SimTime t, std::size_t* step_index = nullptr) const;
-
-  /// One sweep over the merged (base, overlay) step function. All three
-  /// queries share it: seed with sweep_at(t), then repeatedly take
-  /// next_breakpoint() (kForever when exhausted) and advance_to() it.
-  struct Sweep {
-    std::size_t bi = 0;   ///< next base step
-    std::size_t oi = 0;   ///< next overlay delta
-    int base_free = 0;
-    int overlay_sum = 0;
-    [[nodiscard]] int free() const noexcept { return base_free + overlay_sum; }
-  };
-  [[nodiscard]] Sweep sweep_at(SimTime t) const;
-  [[nodiscard]] SimTime next_breakpoint(const Sweep& sweep) const noexcept;
-  void advance_to(Sweep& sweep, SimTime t) const noexcept;
+  /// Index of the first step strictly after t (== times_.size() if none).
+  [[nodiscard]] std::size_t first_after(SimTime t) const;
+  /// Free count over the step before `next` (capacity before the first).
+  [[nodiscard]] int free_before(std::size_t next) const noexcept {
+    return next == 0 ? capacity_ : free_[next - 1];
+  }
+  /// Index of the step beginning at t, inserted with the count that held
+  /// there if absent.
+  std::size_t split_at(SimTime t);
 
   int capacity_ = 0;
-  std::vector<Step> base_;                            ///< sorted, cumulative
-  std::vector<std::pair<SimTime, int>> overlay_;      ///< sorted (time, delta)
+  std::vector<SimTime> times_;       ///< ascending, distinct step starts
+  std::vector<int> free_;            ///< free nodes from times_[i] on
+  std::vector<SimTime> base_times_;  ///< saved base snapshot (set_base)
+  std::vector<int> base_free_;
+  bool reserved_ = false;            ///< reservations since the last restore
 };
 
 }  // namespace sdsched

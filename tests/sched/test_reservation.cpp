@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "util/rng.h"
@@ -213,7 +215,57 @@ struct ReferenceProfile {
     }
     return ReservationProfile::kNever;
   }
+  int min_available(SimTime start, SimTime dur) const {
+    const SimTime end = start + std::max<SimTime>(dur, 1);
+    int min_free = available_at(start);
+    for (const auto& [s, e, d] : ops) {
+      for (const SimTime b : {s, e}) {
+        if (b > start && b < end) min_free = std::min(min_free, available_at(b));
+      }
+    }
+    return min_free;
+  }
+  void add_base(SimTime origin, const std::vector<std::pair<SimTime, int>>& groups) {
+    for (const auto& [free_at, n] : groups) ops.emplace_back(origin, free_at, -n);
+  }
+  std::vector<SimTime> break_times() const {
+    std::vector<SimTime> breaks;
+    for (const auto& [s, e, d] : ops) {
+      breaks.push_back(s);
+      if (e < ReservationProfile::kForever) breaks.push_back(e);
+    }
+    return breaks;
+  }
 };
+
+/// Every query of `profile` against `ref`: availability on, just before and
+/// just after each step time, then `queries` random windows (some starting
+/// on a step) for earliest_start, fits and min_available.
+void expect_matches(const ReservationProfile& profile, const ReferenceProfile& ref, Rng& rng,
+                    int queries, SimTime max_duration, const std::string& label) {
+  const std::vector<SimTime> breaks = ref.break_times();
+  for (const SimTime b : breaks) {
+    for (const SimTime t : {b - 1, b, b + 1}) {
+      ASSERT_EQ(profile.available_at(t), ref.available_at(t)) << label << " t=" << t;
+    }
+  }
+  const SimTime lo = breaks.empty() ? 0 : *std::min_element(breaks.begin(), breaks.end()) - 10;
+  const SimTime hi = breaks.empty() ? 100 : *std::max_element(breaks.begin(), breaks.end()) + 10;
+  for (int q = 0; q < queries; ++q) {
+    const SimTime t = !breaks.empty() && rng.chance(0.5)
+                          ? breaks[static_cast<std::size_t>(
+                                rng.uniform_int(0, static_cast<std::int64_t>(breaks.size()) - 1))]
+                          : rng.uniform_int(lo, hi);
+    const int nodes = static_cast<int>(rng.uniform_int(0, ref.capacity + 1));
+    const SimTime dur = rng.uniform_int(-2, max_duration);
+    ASSERT_EQ(profile.earliest_start(nodes, dur, t), ref.earliest_start(nodes, dur, t))
+        << label << " nodes=" << nodes << " dur=" << dur << " not_before=" << t;
+    ASSERT_EQ(profile.fits(nodes, dur, t), ref.earliest_start(nodes, dur, t) == t)
+        << label << " nodes=" << nodes << " dur=" << dur << " start=" << t;
+    ASSERT_EQ(profile.min_available(t, dur), ref.min_available(t, dur))
+        << label << " start=" << t << " dur=" << dur;
+  }
+}
 
 TEST(Reservation, RandomizedAgainstBruteForce) {
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
@@ -328,6 +380,155 @@ TEST(ReservationProfile, FitsAgreesWithEarliestStart) {
               << "round " << round << " nodes=" << nodes << " duration=" << duration
               << " start=" << start;
         }
+      }
+    }
+  }
+}
+
+// One base snapshot, then passes of reserve / query / clear_overlay(). The
+// restore copies the saved base back, so every pass must answer like a
+// reference built from the base alone plus that pass's reservations — a
+// pass with no reservations included.
+TEST(ReservationProfile, RestoreMatchesBaseEveryPass) {
+  Rng rng(0x7e57043e);
+  const int capacity = 16;
+  const SimTime origin = 100;
+  const std::vector<std::pair<SimTime, int>> groups{
+      {130, 3}, {160, 2}, {210, 4}, {260, 1}, {300, 3}, {380, 2}};
+  ReservationProfile profile;
+  profile.set_base(capacity, origin, groups);
+  ReferenceProfile base{capacity, {}};
+  base.add_base(origin, groups);
+
+  for (int pass = 0; pass < 8; ++pass) {
+    ReferenceProfile ref = base;
+    const int reservations = pass == 3 ? 0 : static_cast<int>(rng.uniform_int(1, 12));
+    for (int r = 0; r < reservations; ++r) {
+      const SimTime start = rng.uniform_int(origin - 50, origin + 300);
+      const SimTime end = rng.chance(0.15) ? ReservationProfile::kForever
+                                           : start + rng.uniform_int(1, 150);
+      const int nodes = static_cast<int>(rng.uniform_int(1, 4));
+      profile.reserve(start, end, nodes);
+      ref.ops.emplace_back(start, end, -nodes);
+    }
+    const std::string label = "pass " + std::to_string(pass);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(profile, ref, rng, 300, 200, label));
+    profile.clear_overlay();
+    EXPECT_EQ(profile.breakpoint_count(), groups.size() + 1) << label;
+    EXPECT_EQ(profile.first_release_time(), 130) << label;
+    ASSERT_NO_FATAL_FAILURE(expect_matches(profile, base, rng, 100, 200, label + " restored"));
+  }
+}
+
+TEST(ReservationProfile, ReservationsBeforeOriginAndAfterPermanent) {
+  ReservationProfile profile;
+  profile.set_base(8, /*origin=*/100, {{150, 3}, {200, 2}});
+  ReferenceProfile ref{8, {}};
+  ref.add_base(100, {{150, 3}, {200, 2}});
+  EXPECT_EQ(profile.breakpoint_count(), 3U);
+
+  // Before the origin the base holds the full capacity.
+  profile.reserve(40, 120, 2);
+  ref.ops.emplace_back(40, 120, -2);
+  EXPECT_EQ(profile.available_at(39), 8);
+  EXPECT_EQ(profile.available_at(40), 6);
+  EXPECT_EQ(profile.available_at(100), 1);
+  EXPECT_EQ(profile.available_at(120), 3);
+  EXPECT_EQ(profile.earliest_start(7, 10, 0), 0);
+  EXPECT_EQ(profile.earliest_start(7, 50, 0), 200);
+
+  // A permanent reservation, then one placed after it.
+  profile.reserve(180, ReservationProfile::kForever, 4);
+  ref.ops.emplace_back(180, ReservationProfile::kForever, -4);
+  profile.reserve(250, 300, 3);
+  ref.ops.emplace_back(250, 300, -3);
+  EXPECT_EQ(profile.available_at(180), 2);
+  EXPECT_EQ(profile.available_at(250), 1);
+  EXPECT_EQ(profile.available_at(300), 4);
+  EXPECT_EQ(profile.available_at(1'000'000), 4);
+  EXPECT_EQ(profile.earliest_start(4, 100, 100), 300);
+  EXPECT_EQ(profile.earliest_start(5, 10, 100), 150);
+  EXPECT_EQ(profile.earliest_start(5, 40, 100), ReservationProfile::kNever);
+  EXPECT_EQ(profile.min_available(0, 1000), 1);
+  EXPECT_EQ(profile.breakpoint_count(), 8U);  // 40 100 120 150 180 200 250 300
+  Rng rng(0xbef0e0);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(profile, ref, rng, 400, 400, "reserved"));
+
+  profile.clear_overlay();
+  EXPECT_EQ(profile.breakpoint_count(), 3U);
+  EXPECT_EQ(profile.available_at(40), 8);
+  EXPECT_EQ(profile.available_at(250), 8);
+  EXPECT_EQ(profile.earliest_start(5, 40, 100), 150);
+}
+
+// Rounds at the saturated-RICC pass shape: 1024 nodes, ~220 release groups
+// in the base and ~70 reservations placed the way a pass places them (at
+// the earliest start the profile reports), restored and re-placed.
+TEST(ReservationProfile, RiccShapedRounds) {
+  Rng rng(0x41cc5d);
+  const int capacity = 1024;
+  const SimTime origin = 500'000;
+  std::vector<std::pair<SimTime, int>> groups;
+  SimTime release = origin;
+  int busy_left = capacity - 8;
+  while (groups.size() < 220 && busy_left > 0) {
+    release += rng.uniform_int(1, 2'000);
+    const int nodes = static_cast<int>(std::min<std::int64_t>(busy_left, rng.uniform_int(1, 9)));
+    groups.emplace_back(release, nodes);
+    busy_left -= nodes;
+  }
+  ReservationProfile profile;
+  profile.set_base(capacity, origin, groups);
+  ReferenceProfile base{capacity, {}};
+  base.add_base(origin, groups);
+  ASSERT_GE(groups.size(), 200U);
+
+  for (int round = 0; round < 3; ++round) {
+    ReferenceProfile ref = base;
+    for (int r = 0; r < 70; ++r) {
+      const int nodes = static_cast<int>(rng.chance(0.7) ? rng.uniform_int(1, 16)
+                                                         : rng.uniform_int(17, 512));
+      const SimTime dur = rng.uniform_int(60, 200'000);
+      const SimTime start = profile.earliest_start(nodes, dur, origin);
+      ASSERT_NE(start, ReservationProfile::kNever);
+      profile.reserve(start, start + dur, nodes);
+      ref.ops.emplace_back(start, start + dur, -nodes);
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches(profile, ref, rng, 60, 250'000, "round " + std::to_string(round)));
+    profile.clear_overlay();
+    ASSERT_EQ(profile.breakpoint_count(), groups.size() + 1);
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_matches(profile, base, rng, 60, 250'000, "restored"));
+}
+
+// Window ends saturate at kForever: a duration near INT64_MAX (a hostile
+// SWF req_time) answers like a window that reaches kForever, with no
+// signed overflow.
+TEST(ReservationProfile, HugeDurationSaturates) {
+  ReservationProfile profile;
+  profile.set_base(8, /*origin=*/100, {{150, 3}, {200, 2}});
+  profile.reserve(120, 170, 2);
+  profile.reserve(400, ReservationProfile::kForever, 3);
+  // Steps: 100:3 120:1 150:4 170:6 200:8 400:5.
+  constexpr SimTime kForever = ReservationProfile::kForever;
+  const SimTime huge[] = {INT64_MAX, kForever, kForever - 1};
+  for (const SimTime d : huge) {
+    EXPECT_EQ(profile.earliest_start(5, d, 0), 170) << d;
+    EXPECT_EQ(profile.earliest_start(6, d, 0), ReservationProfile::kNever) << d;
+    EXPECT_EQ(profile.min_available(0, d), 1) << d;
+    EXPECT_TRUE(profile.fits(5, d, 170)) << d;
+    EXPECT_FALSE(profile.fits(5, d, 160)) << d;
+    for (const SimTime start : {0, 99, 100, 101, 120, 150, 199, 200, 399, 400, 401, 1'000'000}) {
+      const SimTime reaching = kForever - start;  // start + reaching == kForever
+      EXPECT_EQ(profile.min_available(start, d), profile.min_available(start, reaching))
+          << d << " start=" << start;
+      for (int nodes = 0; nodes <= 9; ++nodes) {
+        EXPECT_EQ(profile.fits(nodes, d, start), profile.fits(nodes, reaching, start))
+            << d << " start=" << start << " nodes=" << nodes;
+        EXPECT_EQ(profile.earliest_start(nodes, d, start),
+                  profile.earliest_start(nodes, reaching, start))
+            << d << " start=" << start << " nodes=" << nodes;
       }
     }
   }
