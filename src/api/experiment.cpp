@@ -108,18 +108,6 @@ MachineConfig trace_machine(const LoadedTrace& loaded) {
                     std::max(1, loaded.workload.info().cores_per_node / sockets));
 }
 
-PaperWorkload trace_workload(const std::string& name, double scale, std::uint64_t seed) {
-  TraceLoadOptions options;
-  options.scale = std::clamp(scale, 0.001, 1.0);
-  options.seed = seed;
-  const LoadedTrace loaded = load_trace(name, options);
-  PaperWorkload pw;
-  pw.label = loaded.info.label;
-  pw.workload = loaded.workload;
-  pw.machine = trace_machine(loaded);
-  return pw;
-}
-
 SimulationConfig baseline_config(const MachineConfig& machine) {
   SimulationConfig config;
   config.machine = machine;

@@ -33,17 +33,10 @@ struct PaperWorkload {
 [[nodiscard]] PaperWorkload paper_workload(int which, double scale = 1.0,
                                            std::uint64_t seed = 0);
 
-/// A registered real-system trace (workload/trace_catalog.h) as a
-/// PaperWorkload: the bundled downsampled fixture when present (scale < 1
-/// keeps the earliest fraction), else synthesize_like() at `scale`. The
-/// machine is the trace's documented shape — full size for fixtures, scaled
-/// with the workload for synthesized traces.
-[[nodiscard]] PaperWorkload trace_workload(const std::string& name, double scale = 1.0,
-                                           std::uint64_t seed = 0);
-
-/// The machine a loaded trace targets: the workload's (possibly scaled)
-/// node count with the trace's documented socket split. The single source
-/// of this derivation — trace_workload and the trace benches share it.
+/// The machine a loaded trace (workload/trace_catalog.h) targets: the
+/// workload's node count — full size for fixtures, scaled with the workload
+/// for synthesized traces — with the trace's documented socket split. The
+/// single source of this derivation for the trace benches and tests.
 [[nodiscard]] MachineConfig trace_machine(const LoadedTrace& loaded);
 
 /// Static-backfill baseline configuration for a machine.

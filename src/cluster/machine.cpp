@@ -42,6 +42,11 @@ Machine::Machine(MachineConfig config)
   std::unordered_map<int, const NodeAttributes*> overrides;
   overrides.reserve(config_.attribute_overrides.size());
   for (const auto& [id, override_attrs] : config_.attribute_overrides) {
+    if (id < 0 || id >= config_.nodes) {
+      throw std::invalid_argument("Machine: attribute_overrides names node " +
+                                  std::to_string(id) + ", outside the " +
+                                  std::to_string(config_.nodes) + "-node machine");
+    }
     overrides.insert_or_assign(id, &override_attrs);
   }
   nodes_.reserve(config_.nodes);
@@ -120,7 +125,7 @@ bool Machine::allocate_exclusive(SimTime now, JobId job, const std::vector<int>&
   for (std::size_t i = 0; i < node_ids.size(); ++i) {
     const int id = node_ids[i];
     const int held = std::clamp(cpus[i], 1, nodes_[id].total_cores());
-    const bool ok = nodes_[id].add(job, held, /*is_owner=*/true);
+    const bool ok = nodes_[id].add(job, held);
     assert(ok);
     (void)ok;
     busy_cores_ += held;
@@ -132,10 +137,10 @@ bool Machine::allocate_exclusive(SimTime now, JobId job, const std::vector<int>&
   return true;
 }
 
-bool Machine::add_share(SimTime now, JobId job, int node_id, int cpus, bool is_owner) {
+bool Machine::add_share(SimTime now, JobId job, int node_id, int cpus) {
   const SimTime backdated = touch(now);
   const bool was_empty = nodes_.at(node_id).empty();
-  if (!nodes_[node_id].add(job, cpus, is_owner)) return false;
+  if (!nodes_[node_id].add(job, cpus)) return false;
   busy_cores_ += cpus;
   if (was_empty) ++occupied_nodes_;
   notify(node_id);

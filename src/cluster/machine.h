@@ -86,7 +86,7 @@ class Machine {
 
   /// Place `job` on `node_id` holding `cpus` cores alongside existing
   /// occupants (co-scheduling). The node must have the headroom.
-  bool add_share(SimTime now, JobId job, int node_id, int cpus, bool is_owner);
+  bool add_share(SimTime now, JobId job, int node_id, int cpus);
 
   /// Change `job`'s holding on `node_id`.
   bool resize_share(SimTime now, JobId job, int node_id, int cpus);

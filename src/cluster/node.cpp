@@ -22,16 +22,9 @@ std::optional<NodeOccupant> Node::occupant(JobId job) const noexcept {
   return std::nullopt;
 }
 
-std::optional<NodeOccupant> Node::owner() const noexcept {
-  for (const auto& occ : occupants_) {
-    if (occ.owner) return occ;
-  }
-  return std::nullopt;
-}
-
-bool Node::add(JobId job, int cpus, bool is_owner) {
+bool Node::add(JobId job, int cpus) {
   if (cpus < 1 || cpus > free_cores() || holds(job)) return false;
-  occupants_.push_back(NodeOccupant{job, cpus, is_owner});
+  occupants_.push_back(NodeOccupant{job, cpus});
   return true;
 }
 

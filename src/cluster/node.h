@@ -1,4 +1,4 @@
-// A compute node: sockets x cores, occupied by one owner job and optionally
+// A compute node: sockets x cores, occupied by one job and optionally
 // co-scheduled guests (SD-Policy node sharing).
 //
 // Nodes are mechanism-only: they track who holds how many cores and enforce
@@ -34,7 +34,6 @@ struct NodeAttributes {
 struct NodeOccupant {
   JobId job = kInvalidJob;
   int cpus = 0;
-  bool owner = false;  ///< original (statically scheduled) holder of the node
 };
 
 class Node {
@@ -53,7 +52,6 @@ class Node {
   [[nodiscard]] int used_cores() const noexcept;
   [[nodiscard]] int free_cores() const noexcept { return total_cores() - used_cores(); }
   [[nodiscard]] bool empty() const noexcept { return occupants_.empty(); }
-  [[nodiscard]] bool shared() const noexcept { return occupants_.size() > 1; }
   [[nodiscard]] std::size_t occupant_count() const noexcept { return occupants_.size(); }
   [[nodiscard]] const std::vector<NodeOccupant>& occupants() const noexcept {
     return occupants_;
@@ -61,12 +59,10 @@ class Node {
 
   [[nodiscard]] bool holds(JobId job) const noexcept;
   [[nodiscard]] std::optional<NodeOccupant> occupant(JobId job) const noexcept;
-  /// The owner occupant, if any.
-  [[nodiscard]] std::optional<NodeOccupant> owner() const noexcept;
 
   /// Add a job holding `cpus` cores. Fails (returns false) on overcommit or
   /// if the job is already present.
-  bool add(JobId job, int cpus, bool is_owner);
+  bool add(JobId job, int cpus);
 
   /// Remove a job entirely. Returns the cpus it held, or 0 if absent.
   int remove(JobId job);

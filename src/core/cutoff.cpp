@@ -12,30 +12,12 @@ double estimated_running_slowdown(const Job& job, SimTime now) noexcept {
   return (wait + increase + req) / req;
 }
 
-double compute_cutoff(const CutoffConfig& config, const JobRegistry& jobs, SimTime now) {
-  switch (config.kind) {
-    case CutoffKind::Static:
-      return config.value;
-    case CutoffKind::Infinite:
-      return std::numeric_limits<double>::infinity();
-    case CutoffKind::DynamicAverage: {
-      double sum = 0.0;
-      std::size_t count = 0;
-      for (const auto& job : jobs) {
-        if (!job.running()) continue;
-        sum += estimated_running_slowdown(job, now);
-        ++count;
-      }
-      if (count == 0) return std::numeric_limits<double>::infinity();
-      return sum / static_cast<double>(count);
-    }
-  }
-  return config.value;
-}
-
 double compute_cutoff(const CutoffConfig& config, const JobRegistry& jobs,
                       const std::vector<JobId>& running, SimTime now) {
-  if (config.kind != CutoffKind::DynamicAverage) return compute_cutoff(config, jobs, now);
+  if (config.kind != CutoffKind::DynamicAverage) {
+    return config.kind == CutoffKind::Infinite ? std::numeric_limits<double>::infinity()
+                                               : config.value;
+  }
   double sum = 0.0;
   std::size_t count = 0;
   for (const JobId id : running) {

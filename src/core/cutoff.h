@@ -16,13 +16,9 @@ namespace sdsched {
 /// (wait + req_time + accrued predicted increase) / req_time.
 [[nodiscard]] double estimated_running_slowdown(const Job& job, SimTime now) noexcept;
 
-/// The cut-off value P for this pass (scans the whole registry for the
-/// running set — the standalone fallback).
-[[nodiscard]] double compute_cutoff(const CutoffConfig& config, const JobRegistry& jobs,
-                                    SimTime now);
-
-/// Same cut-off from a maintained running-id list (ascending ids — the
-/// order the registry scan visits, so DynAVGSD's average sums identically).
+/// The cut-off value P for this pass. Static and Infinite ignore the list;
+/// DynAVGSD averages over the maintained running-id list (ascending ids, so
+/// the sum is order-stable), skipping any entry no longer running.
 [[nodiscard]] double compute_cutoff(const CutoffConfig& config, const JobRegistry& jobs,
                                     const std::vector<JobId>& running, SimTime now);
 

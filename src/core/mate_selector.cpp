@@ -24,12 +24,6 @@ const ApplicationProfile* profile_of(const Job& job) noexcept {
   return &profiles[static_cast<std::size_t>(idx)];
 }
 
-/// Quick (pre-plan) duration estimate: the guest would run at roughly the
-/// SharingFactor rate (Listing 1's runtime_increase input).
-SimTime quick_duration(SimTime planned_runtime, double sharing_factor) noexcept {
-  return planned_runtime + increase_for_rate(planned_runtime, sharing_factor);
-}
-
 double penalty_for(const Job& mate, SimTime now, SimTime increase) noexcept {
   const auto req = static_cast<double>(std::max<SimTime>(mate.spec.req_time, 1));
   return (static_cast<double>(mate.wait_time(now)) + static_cast<double>(increase) + req) /

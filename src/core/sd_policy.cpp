@@ -8,7 +8,7 @@
 
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
-#include "core/estimator.h"
+#include "model/runtime_model.h"
 #include "util/logging.h"
 
 namespace sdsched {
@@ -67,7 +67,8 @@ double SdPolicyScheduler::pass_cutoff(SimTime now) {
   return cutoff_value_;
 }
 
-bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, StaticEstimate& est_start,
+bool SdPolicyScheduler::try_malleable(SimTime now, Job& job,
+                                      std::optional<SimTime>& est_start,
                                       ReservationProfile& profile) {
   if (!job.can_start_shrunk()) return false;
 
@@ -86,10 +87,11 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, StaticEstimate& est
   // Listing 1: pre-selection estimate. Malleability must beat the static
   // wait before we even search for mates. All estimates use the scheduler's
   // working duration (the prediction when future-work #2 is enabled). The
-  // static estimate is read only here, past the cheap rejections above.
+  // static estimate is swept only here, past the cheap rejections above.
   const SimTime planned = effective_req_time(job.spec);
-  const SimTime static_end = static_end_for(est_start.get(), planned);
-  const SimTime mall_end_quick = quick_mall_end(now, planned, sd_config_.sharing_factor);
+  if (!est_start) est_start = static_estimate(now, job.spec, planned);
+  const SimTime static_end = *est_start + planned;
+  const SimTime mall_end_quick = now + quick_duration(planned, sd_config_.sharing_factor);
   if (static_end <= mall_end_quick) {
     ++estimate_rejections_;
     return false;

@@ -10,10 +10,11 @@
 // — and only when static_end > mall_end asks the MateSelector for the
 // minimum-Performance-Impact mate set. A successful plan starts the job
 // immediately on the mates' shrunk shares, extends the mates' predicted
-// ends, and keeps the pass's reservation profile consistent. The static
-// estimate arrives as backfill's lazy StaticEstimate handle and is swept
-// only after the can_start_shrunk and guest-budget checks. SD passes never
-// take backfill's quiet-pass skip: mall_end moves with `now`.
+// ends, and keeps the pass's reservation profile consistent. Backfill hands
+// over the static estimate only while it still reserves; otherwise the
+// policy sweeps it after the can_start_shrunk and guest-budget checks, at
+// most once per guest per pass. SD passes never take backfill's quiet-pass
+// skip: mall_end moves with `now`.
 //
 // The policy owns a MateRegistry — the incrementally maintained running /
 // eligible-mate id sets fed by the start and finish notifications the
@@ -87,7 +88,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   }
 
  protected:
-  bool try_malleable(SimTime now, Job& job, StaticEstimate& est_start,
+  bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& est_start,
                      ReservationProfile& profile) override;
 
   void on_job_started(JobId job) override { mate_registry_.on_start(jobs_.at(job)); }

@@ -72,8 +72,7 @@ std::vector<JobId> NodeManager::start_guest(SimTime now, JobId guest_id,
         affected.push_back(entry.mate);
       }
     }
-    const bool placed = machine_.add_share(now, guest_id, entry.node, entry.guest_cpus,
-                                           /*is_owner=*/entry.mate == kInvalidJob);
+    const bool placed = machine_.add_share(now, guest_id, entry.node, entry.guest_cpus);
     assert(placed && "guest placement failed");
     (void)placed;
     guest.shares.push_back(

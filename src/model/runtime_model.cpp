@@ -30,6 +30,10 @@ SimTime increase_for_rate(SimTime duration, double rate) noexcept {
   return static_cast<SimTime>(std::ceil(increase));
 }
 
+SimTime quick_duration(SimTime planned, double sharing_factor) noexcept {
+  return planned + increase_for_rate(planned, sharing_factor);
+}
+
 SimTime lost_progress_increase(SimTime shared_duration, double shrunk_rate) noexcept {
   if (shared_duration <= 0) return 0;
   const double rate = std::clamp(shrunk_rate, 0.0, 1.0);

@@ -44,6 +44,11 @@ enum class RuntimeModelKind : int { Ideal = 0, WorstCase = 1 };
 /// running at `rate`: duration * (1/rate - 1). Zero when rate >= 1.
 [[nodiscard]] SimTime increase_for_rate(SimTime duration, double rate) noexcept;
 
+/// Listing 1's pre-selection guest duration, before mates are known: the
+/// worst case under the uniform SharingFactor split runs the guest at rate
+/// ~ sharing_factor, so planned + increase_for_rate(planned, sharing_factor).
+[[nodiscard]] SimTime quick_duration(SimTime planned, double sharing_factor) noexcept;
+
 /// Extra wallclock a job accrues by spending `shared_duration` of wallclock
 /// at `shrunk_rate` (< 1) and catching up at full speed afterwards:
 /// (1 - rate) * shared_duration. This is the mate-side increase of Eq. 4.

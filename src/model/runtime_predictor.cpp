@@ -10,11 +10,6 @@ void RuntimePredictor::observe(const JobSpec& spec, SimTime actual_runtime) {
   const double actual = static_cast<double>(std::max<SimTime>(actual_runtime, 1));
   const double ratio = std::min(actual / req, 1.0);
 
-  // Score the prediction we would have made *before* this observation.
-  const SimTime predicted = predict(spec);
-  error_sum_ += std::abs(static_cast<double>(predicted) - actual) / actual;
-  ++error_count_;
-
   const auto fold = [this, ratio](UserModel& model) {
     model.ema_ratio =
         model.count == 0 ? ratio : (1.0 - smoothing_) * model.ema_ratio + smoothing_ * ratio;
@@ -22,7 +17,6 @@ void RuntimePredictor::observe(const JobSpec& spec, SimTime actual_runtime) {
   };
   fold(users_[spec.user_id]);
   fold(global_);
-  ++observations_;
 }
 
 const RuntimePredictor::UserModel* RuntimePredictor::trusted_model(int user_id) const {
@@ -40,10 +34,6 @@ SimTime RuntimePredictor::predict(const JobSpec& spec) const {
   const auto predicted =
       static_cast<SimTime>(std::ceil(model->ema_ratio * static_cast<double>(spec.req_time)));
   return std::clamp<SimTime>(predicted, 1, spec.req_time);
-}
-
-double RuntimePredictor::mean_relative_error() const noexcept {
-  return error_count_ > 0 ? error_sum_ / static_cast<double>(error_count_) : 0.0;
 }
 
 }  // namespace sdsched

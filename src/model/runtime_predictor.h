@@ -13,7 +13,6 @@
 // reservation durations, predicted ends and the SD decision inputs.
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
 
 #include "job/job.h"
@@ -33,11 +32,6 @@ class RuntimePredictor {
   /// Predicted wallclock for a job about to be scheduled.
   [[nodiscard]] SimTime predict(const JobSpec& spec) const;
 
-  /// Mean |predicted - actual| / actual over all observations that had a
-  /// trusted model at observation time (for reporting).
-  [[nodiscard]] double mean_relative_error() const noexcept;
-  [[nodiscard]] std::uint64_t observations() const noexcept { return observations_; }
-
  private:
   struct UserModel {
     double ema_ratio = 1.0;  ///< actual / requested
@@ -53,9 +47,6 @@ class RuntimePredictor {
   // prediction is a pure function of that user's observation sequence.
   std::unordered_map<int, UserModel> users_;
   UserModel global_;
-  std::uint64_t observations_ = 0;
-  double error_sum_ = 0.0;
-  std::uint64_t error_count_ = 0;
 };
 
 }  // namespace sdsched

@@ -12,17 +12,13 @@
 namespace sdsched {
 
 bool BackfillScheduler::try_malleable(SimTime /*now*/, Job& /*job*/,
-                                      StaticEstimate& /*est_start*/,
+                                      std::optional<SimTime>& /*est_start*/,
                                       ReservationProfile& /*profile*/) {
   return false;  // static baseline: no malleability
 }
 
 void BackfillScheduler::annotate(SimulationReport& report) const {
   report.cancelled_jobs = cancelled_;
-}
-
-int BackfillScheduler::eligible_nodes(const JobConstraints& constraints) const {
-  return cluster_index_->eligible_node_count(constraints);
 }
 
 ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
@@ -149,7 +145,7 @@ void BackfillScheduler::run_pass(SimTime now) {
     if (examined++ >= config_.bf_max_jobs) break;
     Job& job = jobs_.at(id);
     const int req_nodes = job.spec.req_nodes;
-    if (req_nodes > eligible_nodes(job.spec.constraints)) {
+    if (req_nodes > cluster_index_->eligible_node_count(job.spec.constraints)) {
       // No set of nodes can ever satisfy the request (§3.2.4 filtering).
       log_warn("backfill", "job ", id, " can never fit its constraints; cancelling");
       job.state = JobState::Cancelled;
@@ -209,8 +205,7 @@ void BackfillScheduler::run_pass(SimTime now) {
       }
       continue;
     }
-    StaticEstimate handle(*this, job.spec, now, planned, est);
-    if (try_malleable(now, job, handle, profile)) {
+    if (try_malleable(now, job, est, profile)) {
       quiet = false;
       queue_.remove(id);
       continue;

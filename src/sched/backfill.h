@@ -22,10 +22,10 @@
 //     reservations remain, where the reservation needs it; est == now
 //     doubles as the "fits now" answer. Past reservation_depth a job can
 //     only start now, so the pass asks ReservationProfile::fits(), which
-//     stops at the first breakpoint that falls short. try_malleable()
-//     receives the estimate as a memoized StaticEstimate handle and sweeps
-//     only when it calls get() — SD-Policy does so after its cheap
-//     rejections, so a budget-deferred guest never pays for a sweep;
+//     stops at the first breakpoint that falls short. Past the depth
+//     try_malleable() receives no estimate and computes it only if it
+//     needs one — SD-Policy does so after its cheap rejections, so a
+//     budget-deferred guest never pays for a sweep;
 //   * schedule_pass() returns at once when it would repeat a quiet pass —
 //     the previous pass started, cancelled and held nothing, no job was
 //     submitted since, the cluster's mutation_serial() is unchanged, no
@@ -99,50 +99,29 @@ class BackfillScheduler : public Scheduler {
   }
 
  protected:
-  /// A job's static earliest start on the pass profile (maxed with its
-  /// class layer), swept on the first get() and memoized. Valid only
-  /// within the try_malleable() call it is handed to, and get() must come
-  /// before the hook edits the profile.
-  class StaticEstimate {
-   public:
-    [[nodiscard]] SimTime get() {
-      if (!value_) value_ = scheduler_.static_estimate(now_, spec_, planned_);
-      return *value_;
-    }
-
-   private:
-    friend class BackfillScheduler;
-    StaticEstimate(BackfillScheduler& scheduler, const JobSpec& spec, SimTime now,
-                   SimTime planned, std::optional<SimTime> value) noexcept
-        : scheduler_(scheduler), spec_(spec), now_(now), planned_(planned), value_(value) {}
-
-    BackfillScheduler& scheduler_;
-    const JobSpec& spec_;
-    SimTime now_;
-    SimTime planned_;
-    std::optional<SimTime> value_;
-  };
-
   /// The pass body schedule_pass() runs unless it skips a quiet repeat.
   /// Requires an attached cluster index.
   void run_pass(SimTime now);
 
   /// Policy hook: attempt a malleable start for `job`, which cannot start
-  /// now; `est_start.get()` is its static earliest start (> now).
+  /// now. `est_start` is its static earliest start (> now) when the pass
+  /// already swept it, else empty; a hook that needs it fills it with
+  /// static_estimate() before editing the profile, and the pass reuses it.
   /// Implementations must apply the start through the executor, keep
   /// `profile` consistent (extend mates' occupancy, reserve free nodes they
   /// consume — via reserve_window so the class layers stay in sync) and
   /// return true.
-  virtual bool try_malleable(SimTime now, Job& job, StaticEstimate& est_start,
+  virtual bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& est_start,
                              ReservationProfile& profile);
+
+  /// Shared-profile earliest start maxed with the class layer's; kNever
+  /// when the request exceeds the machine.
+  [[nodiscard]] SimTime static_estimate(SimTime now, const JobSpec& spec, SimTime planned);
 
   /// The pass profile: base snapshot refreshed only when the cluster index
   /// reports a change (or a release breakpoint crossed `now`), otherwise
   /// restored from the saved base copy.
   [[nodiscard]] ReservationProfile& pass_profile(SimTime now);
-
-  /// Eligible-node count for constraint filtering: O(attribute classes).
-  [[nodiscard]] int eligible_nodes(const JobConstraints& constraints) const;
 
   /// The per-pass profile layer restricted to `constraints`' eligible
   /// attribute classes, or nullptr when the class-blind profile is already
@@ -167,10 +146,6 @@ class BackfillScheduler : public Scheduler {
   void reserve_window(SimTime start, SimTime end, int nodes, bool occupancy_backed);
 
  private:
-  /// Shared-profile earliest start maxed with the class layer's; kNever
-  /// when the request exceeds the machine.
-  [[nodiscard]] SimTime static_estimate(SimTime now, const JobSpec& spec, SimTime planned);
-
   /// static_estimate(...) == now, answered by ReservationProfile::fits().
   [[nodiscard]] bool fits_now(SimTime now, const JobSpec& spec, SimTime planned);
 

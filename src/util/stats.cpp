@@ -19,35 +19,11 @@ void OnlineStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double OnlineStats::variance() const noexcept {
   return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
 }
 
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double mean_of(const std::vector<double>& values) noexcept {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
 
 double percentile_of(std::vector<double> values, double p) noexcept {
   if (values.empty()) return 0.0;

@@ -11,7 +11,6 @@ namespace sdsched {
 class OnlineStats {
  public:
   void add(double x) noexcept;
-  void merge(const OnlineStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double mean() const noexcept { return count_ > 0 ? mean_ : 0.0; }
@@ -31,7 +30,6 @@ class OnlineStats {
 
 /// Batch helpers. `percentile` uses linear interpolation between order
 /// statistics (the common "type 7" definition); it copies and sorts.
-[[nodiscard]] double mean_of(const std::vector<double>& values) noexcept;
 [[nodiscard]] double percentile_of(std::vector<double> values, double p) noexcept;
 [[nodiscard]] double median_of(std::vector<double> values) noexcept;
 

@@ -183,7 +183,7 @@ LoadedTrace load_trace(const std::string& name, const TraceLoadOptions& options)
   loaded.info = *info;
   const std::uint64_t seed = options.seed != 0 ? options.seed : info->default_seed;
   // Guard the size arithmetic below (and the generators) against degenerate
-  // user-supplied scales; trace_workload applies the same clamp.
+  // user-supplied scales.
   const double scale = std::clamp(options.scale, 0.001, 1.0);
 
   if (options.allow_fixture) {

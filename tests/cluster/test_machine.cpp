@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +38,23 @@ TEST(Machine, RejectsEmptyGeometry) {
     for (const int bad : {0, -3}) {
       value = bad;
       EXPECT_THROW(Machine{config}, std::invalid_argument) << "field " << field << " = " << bad;
+    }
+  }
+}
+
+TEST(Machine, RejectsOutOfRangeAttributeOverride) {
+  for (const int bad : {4, -1}) {
+    MachineConfig config;
+    config.nodes = 4;
+    config.node = NodeConfig{2, 24};
+    config.attribute_overrides = {{1, NodeAttributes{}}, {bad, NodeAttributes{}}};
+    try {
+      const Machine machine{config};
+      ADD_FAILURE() << "override for node " << bad << " was silently dropped";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "Machine: attribute_overrides names node " +
+                                           std::to_string(bad) +
+                                           ", outside the 4-node machine");
     }
   }
 }
@@ -80,7 +98,7 @@ TEST(Machine, SharesAndRelease) {
   machine.allocate_exclusive(0, 1, {0}, {48});
   EXPECT_TRUE(machine.resize_share(10, 1, 0, 24));
   EXPECT_EQ(machine.busy_cores(), 24);
-  EXPECT_TRUE(machine.add_share(10, 2, 0, 24, false));
+  EXPECT_TRUE(machine.add_share(10, 2, 0, 24));
   EXPECT_EQ(machine.busy_cores(), 48);
   EXPECT_EQ(machine.free_node_count(), 1);
 
@@ -127,7 +145,6 @@ struct AllocOp {
   JobId job = 0;
   std::vector<int> nodes;
   std::vector<int> cpus;
-  bool owner = false;
 };
 
 void apply_ops(Machine& machine, const std::vector<AllocOp>& ops, SimTime end) {
@@ -137,7 +154,7 @@ void apply_ops(Machine& machine, const std::vector<AllocOp>& ops, SimTime end) {
         ASSERT_TRUE(machine.allocate_exclusive(op.time, op.job, op.nodes, op.cpus));
         break;
       case AllocOp::Kind::AddShare:
-        ASSERT_TRUE(machine.add_share(op.time, op.job, op.nodes[0], op.cpus[0], op.owner));
+        ASSERT_TRUE(machine.add_share(op.time, op.job, op.nodes[0], op.cpus[0]));
         break;
       case AllocOp::Kind::ResizeShare:
         ASSERT_TRUE(machine.resize_share(op.time, op.job, op.nodes[0], op.cpus[0]));
@@ -224,9 +241,9 @@ TEST(Machine, BackdatedSharedNodeChurnMatchesForwardReplay) {
   // form a valid chronological history, so the oracle replay is well-defined.
   const std::vector<AllocOp> ops = {
       {AllocOp::Kind::Allocate, 2000, 1, {0, 1}, {48, 48}},
-      {AllocOp::Kind::AddShare, 300, 2, {2}, {24}, /*owner=*/true},
+      {AllocOp::Kind::AddShare, 300, 2, {2}, {24}},
       {AllocOp::Kind::ResizeShare, 700, 2, {2}, {12}},
-      {AllocOp::Kind::AddShare, 900, 3, {2}, {12}, /*owner=*/false},
+      {AllocOp::Kind::AddShare, 900, 3, {2}, {12}},
       {AllocOp::Kind::RemoveShare, 1100, 3, {2}, {}},
       {AllocOp::Kind::RemoveShare, 1500, 2, {2}, {}},
   };

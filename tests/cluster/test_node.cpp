@@ -19,7 +19,7 @@ TEST(Node, GeometryFromConfig) {
 
 TEST(Node, AddAndRemoveOccupant) {
   Node node = make_node();
-  EXPECT_TRUE(node.add(1, 48, true));
+  EXPECT_TRUE(node.add(1, 48));
   EXPECT_FALSE(node.empty());
   EXPECT_EQ(node.used_cores(), 48);
   EXPECT_EQ(node.free_cores(), 0);
@@ -31,51 +31,42 @@ TEST(Node, AddAndRemoveOccupant) {
 
 TEST(Node, RejectsOvercommit) {
   Node node = make_node();
-  EXPECT_TRUE(node.add(1, 40, true));
-  EXPECT_FALSE(node.add(2, 9, false));
-  EXPECT_TRUE(node.add(2, 8, false));
+  EXPECT_TRUE(node.add(1, 40));
+  EXPECT_FALSE(node.add(2, 9));
+  EXPECT_TRUE(node.add(2, 8));
   EXPECT_EQ(node.used_cores(), 48);
 }
 
 TEST(Node, RejectsDuplicateJob) {
   Node node = make_node();
-  EXPECT_TRUE(node.add(1, 10, true));
-  EXPECT_FALSE(node.add(1, 10, false));
+  EXPECT_TRUE(node.add(1, 10));
+  EXPECT_FALSE(node.add(1, 10));
 }
 
 TEST(Node, RejectsZeroCpus) {
   Node node = make_node();
-  EXPECT_FALSE(node.add(1, 0, true));
+  EXPECT_FALSE(node.add(1, 0));
 }
 
 TEST(Node, SharedWhenTwoOccupants) {
   Node node = make_node();
-  node.add(1, 24, true);
-  EXPECT_FALSE(node.shared());
-  node.add(2, 24, false);
-  EXPECT_TRUE(node.shared());
+  node.add(1, 24);
+  EXPECT_EQ(node.occupant_count(), 1u);
+  node.add(2, 24);
   EXPECT_EQ(node.occupant_count(), 2u);
-}
-
-TEST(Node, OwnerLookup) {
-  Node node = make_node();
-  node.add(1, 24, true);
-  node.add(2, 24, false);
-  const auto owner = node.owner();
-  ASSERT_TRUE(owner.has_value());
-  EXPECT_EQ(owner->job, 1u);
   const auto occ = node.occupant(2);
   ASSERT_TRUE(occ.has_value());
-  EXPECT_FALSE(occ->owner);
+  EXPECT_EQ(occ->job, 2u);
+  EXPECT_EQ(occ->cpus, 24);
   EXPECT_FALSE(node.occupant(99).has_value());
 }
 
 TEST(Node, ResizeWithinCapacity) {
   Node node = make_node();
-  node.add(1, 48, true);
+  node.add(1, 48);
   EXPECT_TRUE(node.resize(1, 24));
   EXPECT_EQ(node.free_cores(), 24);
-  EXPECT_TRUE(node.add(2, 24, false));
+  EXPECT_TRUE(node.add(2, 24));
   // Owner cannot grow back past the guest.
   EXPECT_FALSE(node.resize(1, 25));
   EXPECT_TRUE(node.resize(1, 24));
@@ -83,7 +74,7 @@ TEST(Node, ResizeWithinCapacity) {
 
 TEST(Node, ResizeRejectsInvalid) {
   Node node = make_node();
-  node.add(1, 10, true);
+  node.add(1, 10);
   EXPECT_FALSE(node.resize(1, 0));
   EXPECT_FALSE(node.resize(2, 5));
   EXPECT_FALSE(node.resize(1, 49));

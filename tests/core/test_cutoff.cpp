@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace sdsched {
 namespace {
@@ -20,15 +21,28 @@ Job& add_running(JobRegistry& jobs, SimTime submit, SimTime start, SimTime req_t
   return job;
 }
 
+/// Every id in the registry, ascending: what MateRegistry::running() holds
+/// when all jobs run, and a list with stale entries otherwise.
+std::vector<JobId> all_ids(const JobRegistry& jobs) {
+  std::vector<JobId> ids;
+  for (const auto& job : jobs) ids.push_back(job.spec.id);
+  return ids;
+}
+
+// Static and Infinite ignore the running list, empty or not.
 TEST(Cutoff, StaticReturnsConfiguredValue) {
   JobRegistry jobs;
-  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::max_sd(10.0), jobs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::max_sd(5.0), jobs, 999), 5.0);
+  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::max_sd(10.0), jobs, {}, 0), 10.0);
+  add_running(jobs, 0, 100, 100);  // slowdown 2
+  add_running(jobs, 0, 300, 100);  // slowdown 4
+  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::max_sd(5.0), jobs, all_ids(jobs), 999), 5.0);
 }
 
 TEST(Cutoff, InfiniteIsUnbounded) {
   JobRegistry jobs;
-  EXPECT_TRUE(std::isinf(compute_cutoff(CutoffConfig::infinite(), jobs, 0)));
+  EXPECT_TRUE(std::isinf(compute_cutoff(CutoffConfig::infinite(), jobs, {}, 0)));
+  add_running(jobs, 0, 100, 100);
+  EXPECT_TRUE(std::isinf(compute_cutoff(CutoffConfig::infinite(), jobs, all_ids(jobs), 300)));
 }
 
 TEST(Cutoff, EstimatedRunningSlowdownFormula) {
@@ -49,7 +63,7 @@ TEST(Cutoff, DynamicAverageOfRunningJobs) {
   JobRegistry jobs;
   add_running(jobs, 0, 100, 100);  // slowdown 2
   add_running(jobs, 0, 300, 100);  // slowdown 4
-  const double cutoff = compute_cutoff(CutoffConfig::dynamic_avg(), jobs, 300);
+  const double cutoff = compute_cutoff(CutoffConfig::dynamic_avg(), jobs, all_ids(jobs), 300);
   EXPECT_DOUBLE_EQ(cutoff, 3.0);
 }
 
@@ -60,12 +74,25 @@ TEST(Cutoff, DynamicIgnoresNonRunningJobs) {
   pending.submit = 0;
   pending.req_time = 1;
   jobs.add(pending);  // stays Pending: huge would-be slowdown, must not count
-  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::dynamic_avg(), jobs, 100), 2.0);
+  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::dynamic_avg(), jobs, all_ids(jobs), 100), 2.0);
+}
+
+TEST(Cutoff, DynamicSkipsStaleRunningIds) {
+  JobRegistry jobs;
+  add_running(jobs, 0, 100, 100);                // slowdown 2
+  Job& done = add_running(jobs, 0, 900, 100);    // would be 10 if counted
+  done.state = JobState::Completed;              // finished, still listed
+  const std::vector<JobId> running = all_ids(jobs);
+  ASSERT_EQ(running.size(), 2u);
+  EXPECT_DOUBLE_EQ(compute_cutoff(CutoffConfig::dynamic_avg(), jobs, running, 900), 2.0);
+  // A list of only stale ids averages nothing: unbounded, as with no runners.
+  EXPECT_TRUE(std::isinf(
+      compute_cutoff(CutoffConfig::dynamic_avg(), jobs, {done.spec.id}, 900)));
 }
 
 TEST(Cutoff, DynamicWithNoRunningJobsIsInfinite) {
   JobRegistry jobs;
-  EXPECT_TRUE(std::isinf(compute_cutoff(CutoffConfig::dynamic_avg(), jobs, 0)));
+  EXPECT_TRUE(std::isinf(compute_cutoff(CutoffConfig::dynamic_avg(), jobs, {}, 0)));
 }
 
 TEST(Cutoff, ZeroWaitGivesSlowdownOne) {

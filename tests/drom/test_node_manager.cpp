@@ -79,7 +79,7 @@ TEST_F(NodeManagerTest, GuestStartShrinksMate) {
   EXPECT_EQ(m.guests, (std::vector<JobId>{guest}));
   EXPECT_EQ(g.mates, (std::vector<JobId>{mate}));
   EXPECT_EQ(machine_.busy_cores(), 96);
-  EXPECT_TRUE(machine_.node(0).shared());
+  EXPECT_EQ(machine_.node(0).occupant_count(), 2u);
   // DROM masks reflect the socket split: one socket each (Listing 3).
   EXPECT_EQ(mgr_.mask(mate, 0)->total(), 24);
   EXPECT_EQ(mgr_.mask(guest, 0)->total(), 24);
@@ -102,7 +102,7 @@ TEST_F(NodeManagerTest, GuestEndRestoresMate) {
   EXPECT_EQ(m.shares[0].cpus, 48);  // expanded back to static
   EXPECT_EQ(m.shares[1].cpus, 48);
   EXPECT_TRUE(m.guests.empty());
-  EXPECT_FALSE(machine_.node(0).shared());
+  EXPECT_EQ(machine_.node(0).occupant_count(), 1u);
   EXPECT_EQ(machine_.busy_cores(), 96);
   EXPECT_FALSE(mgr_.mask(guest, 0).has_value());
   EXPECT_EQ(mgr_.mask(mate, 0)->total(), 48);
@@ -174,7 +174,8 @@ TEST_F(NodeManagerTest, GuestOnFreeNodeIsOwner) {
   const JobId guest = add_job(96);
   // Plan mixing one mate node and one free node (include_free_nodes).
   mgr_.start_guest(10, guest, {{0, mate, 24, 24, 48}, {1, kInvalidJob, 48, 0, 48}});
-  EXPECT_TRUE(machine_.node(1).occupant(guest)->owner);
+  EXPECT_EQ(machine_.node(1).occupant_count(), 1u);
+  EXPECT_EQ(machine_.node(1).occupant(guest)->cpus, 48);
   EXPECT_EQ(machine_.node(1).used_cores(), 48);
   EXPECT_EQ(jobs_.at(guest).mates, (std::vector<JobId>{mate}));
 }

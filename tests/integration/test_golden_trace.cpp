@@ -29,9 +29,20 @@ namespace {
 constexpr const char* kGoldenRelPath = "/golden/curie_trace.golden.json";
 constexpr const char* kSaturatedGoldenRelPath = "/golden/curie_saturated.golden.json";
 
+/// The earliest half of the bundled Curie fixture, on the trace's machine.
+PaperWorkload curie_slice() {
+  TraceLoadOptions options;
+  options.scale = 0.5;
+  const LoadedTrace loaded = load_trace("curie", options);
+  PaperWorkload pw;
+  pw.workload = loaded.workload;
+  pw.machine = trace_machine(loaded);
+  return pw;
+}
+
 /// The bundled-fixture slice document.
 std::string curie_slice_document(std::uint64_t& backfill_coalesced, std::uint64_t& sd_guests) {
-  const PaperWorkload pw = trace_workload("curie", /*scale=*/0.5);
+  const PaperWorkload pw = curie_slice();
   EXPECT_GT(pw.workload.size(), 0u);
   EXPECT_EQ(pw.machine.nodes, 5040) << "Curie fixture must keep the full machine";
 
@@ -65,7 +76,7 @@ std::string curie_slice_document(std::uint64_t& backfill_coalesced, std::uint64_
 }
 
 TEST(GoldenTrace, CurieFixtureSliceMatchesGolden) {
-  const PaperWorkload pw = trace_workload("curie", /*scale=*/0.5);
+  const PaperWorkload pw = curie_slice();
   ASSERT_GT(pw.workload.size(), 0u);
 
   // The real-trace regime this slice exists for: same-second submit bursts.

@@ -82,6 +82,19 @@ TEST(RuntimeModel, IncreaseRoundsUp) {
   EXPECT_EQ(increase_for_rate(100, 0.3), 234);
 }
 
+// Listing 1's pre-selection duration: the guest at the SharingFactor rate.
+TEST(RuntimeModel, QuickDurationIsListingOneEstimate) {
+  EXPECT_EQ(quick_duration(1000, 0.5), 2000);
+  EXPECT_EQ(quick_duration(1000, 1.0), 1000);
+  EXPECT_EQ(quick_duration(0, 0.5), 0);
+  for (const SimTime planned : {SimTime{0}, SimTime{1}, SimTime{100}, SimTime{3600}}) {
+    for (const double sf : {0.1, 0.3, 0.5, 0.75, 1.0}) {
+      EXPECT_EQ(quick_duration(planned, sf), planned + increase_for_rate(planned, sf))
+          << "planned " << planned << ", sharing factor " << sf;
+    }
+  }
+}
+
 TEST(RuntimeModel, LostProgressIncrease) {
   // Shrunk to rate 0.5 for 600s: 300s of work lost.
   EXPECT_EQ(lost_progress_increase(600, 0.5), 300);

@@ -58,13 +58,6 @@ TEST(RuntimePredictor, PerUserModelsAreIndependent) {
   EXPECT_GT(predictor.predict(spec_of(2, 1000)), 700);
 }
 
-TEST(RuntimePredictor, ErrorTrackingAccumulates) {
-  RuntimePredictor predictor(0.5, 1);
-  predictor.observe(spec_of(1, 1000), 500);
-  EXPECT_EQ(predictor.observations(), 1u);
-  EXPECT_GT(predictor.mean_relative_error(), 0.0);  // first guess was 1000 vs 500
-}
-
 TEST(RuntimePredictor, MinimumOneSecond) {
   RuntimePredictor predictor(1.0, 1);
   predictor.observe(spec_of(1, 1000), 1);

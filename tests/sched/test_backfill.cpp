@@ -123,7 +123,7 @@ TEST_F(BackfillTest, SharedNodeFreesAtLastOccupant) {
   guest.predicted_end = 300;
   machine_.resize_share(0, a, 0, 24);
   jobs_.at(a).shares[0].cpus = 24;
-  machine_.add_share(0, g, 0, 24, false);
+  machine_.add_share(0, g, 0, 24);
   guest.shares.push_back({0, 24, 48});
 
   // A 4-node job can only be predicted to start when node 0 clears at 300.
@@ -447,7 +447,7 @@ class ProfileCorruptingScheduler final : public BackfillScheduler {
   using BackfillScheduler::BackfillScheduler;
 
  protected:
-  bool try_malleable(SimTime now, Job& /*job*/, StaticEstimate& /*est_start*/,
+  bool try_malleable(SimTime now, Job& /*job*/, std::optional<SimTime>& /*est_start*/,
                      ReservationProfile& profile) override {
     profile.set_base(profile.capacity(), now, {});
     return false;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <vector>
 
 namespace sdsched {
 namespace {
@@ -34,43 +34,6 @@ TEST(OnlineStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
   EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesCombinedStream) {
-  OnlineStats left;
-  OnlineStats right;
-  OnlineStats combined;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    (i % 2 == 0 ? left : right).add(x);
-    combined.add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), combined.count());
-  EXPECT_NEAR(left.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), combined.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), combined.min());
-  EXPECT_DOUBLE_EQ(left.max(), combined.max());
-}
-
-TEST(OnlineStats, MergeWithEmptySides) {
-  OnlineStats empty;
-  OnlineStats filled;
-  filled.add(1.0);
-  filled.add(3.0);
-  OnlineStats copy = filled;
-  copy.merge(empty);
-  EXPECT_EQ(copy.count(), 2u);
-  EXPECT_DOUBLE_EQ(copy.mean(), 2.0);
-  empty.merge(filled);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(BatchStats, MeanOf) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0, 4.0}), 2.5);
 }
 
 TEST(BatchStats, PercentileInterpolates) {
