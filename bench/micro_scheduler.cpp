@@ -158,7 +158,7 @@ void BM_MateSelection(benchmark::State& state) {
   const JobId guest = jobs.add(guest_spec);
 
   SdConfig sd;
-  MateRegistry registry;
+  MateRegistry registry(sd.max_jobs_per_node);
   registry.seed(jobs);
   MateSelector selector(machine, jobs, sd, registry);
   selector.set_cluster_index(&index);
@@ -447,9 +447,9 @@ SdPassStats run_sd_pass_study(const char* label, int node_count, int selects,
   std::vector<JobId> guests;
   for (const int size : {2, 4, 2, 2, 4, 2}) guests.push_back(add_job(size, 600));
 
-  MateRegistry registry;
-  registry.seed(jobs);
   SdConfig sd;
+  MateRegistry registry(sd.max_jobs_per_node);
+  registry.seed(jobs);
   MateSelector selector(machine, jobs, sd, registry);
   selector.set_cluster_index(&index);
 
@@ -711,7 +711,7 @@ int run_sd_pass(int argc, char** argv) {
                 static_cast<unsigned long long>(s.combinations_evaluated),
                 static_cast<unsigned long long>(s.plans_found));
   }
-  std::printf("\nregistry scans only the eligible mates (running malleable non-guests).\n");
+  std::printf("\nregistry scans only mates() (running malleable non-guests that are not full).\n");
 
   std::printf("\nfree-node pick latency + flip throughput (half-occupied machine)\n");
   std::printf("%-14s %8s %10s %10s %14s\n", "case", "nodes", "p50(ns)", "p95(ns)",

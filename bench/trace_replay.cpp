@@ -44,6 +44,7 @@
 #include "bench_common.h"
 
 #include <fstream>
+#include <stdexcept>
 
 #include "workload/swf.h"
 #include "workload/trace_catalog.h"
@@ -97,7 +98,7 @@ LoadedTrace load_soak_trace(const TraceInfo& info, std::size_t soak_jobs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchContext ctx = BenchContext::from_args(argc, argv);
   const CliArgs args(argc, argv);
 
@@ -307,4 +308,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag or an out-of-range SD knob is a usage error.
+  std::fprintf(stderr, "trace_replay: %s\n", e.what());
+  return 2;
 }

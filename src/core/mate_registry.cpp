@@ -7,12 +7,6 @@ namespace sdsched {
 
 namespace {
 
-/// Membership in mates(): everything of eligible_mate() that does not
-/// depend on the guest or on `now`.
-bool static_mate_eligible(const Job& job) noexcept {
-  return job.running() && job.can_be_mate() && !job.started_as_guest;
-}
-
 void insert_sorted(std::vector<JobId>& ids, JobId id) {
   // Ids arrive mostly in ascending order (the registry assigns them
   // densely), so the push_back fast path dominates.
@@ -32,24 +26,42 @@ void erase_sorted(std::vector<JobId>& ids, JobId id) {
 
 }  // namespace
 
+bool MateRegistry::is_mate(const Job& job) const noexcept {
+  return job.running() && job.can_be_mate() && !job.started_as_guest &&
+         static_cast<int>(job.guests.size()) < max_jobs_per_node_ - 1;
+}
+
+void MateRegistry::sync_mate(const Job& job) {
+  if (is_mate(job)) {
+    insert_sorted(mates_, job.spec.id);
+  } else {
+    erase_sorted(mates_, job.spec.id);
+  }
+}
+
 void MateRegistry::seed(const JobRegistry& jobs) {
   running_.clear();
   mates_.clear();
   for (const Job& job : jobs) {
     if (!job.running()) continue;
     running_.push_back(job.spec.id);
-    if (static_mate_eligible(job)) mates_.push_back(job.spec.id);
+    if (is_mate(job)) mates_.push_back(job.spec.id);
   }
 }
 
-void MateRegistry::on_start(const Job& job) {
+void MateRegistry::on_start(const Job& job, const JobRegistry& jobs) {
   insert_sorted(running_, job.spec.id);
-  if (static_mate_eligible(job)) insert_sorted(mates_, job.spec.id);
+  sync_mate(job);
+  // Only a guest has mates; each one it joined may now be full.
+  for (const JobId mate : job.mates) sync_mate(jobs.at(mate));
 }
 
-void MateRegistry::on_finish(JobId id) {
-  erase_sorted(running_, id);
-  erase_sorted(mates_, id);
+void MateRegistry::on_finish(const Job& job, const JobRegistry& jobs) {
+  erase_sorted(running_, job.spec.id);
+  erase_sorted(mates_, job.spec.id);
+  // A finished guest's `mates` still names the survivors (a mate that
+  // finished first was erased from it), each now one guest lighter.
+  for (const JobId mate : job.mates) sync_mate(jobs.at(mate));
 }
 
 bool MateRegistry::check_consistent(const JobRegistry& jobs,
@@ -59,7 +71,7 @@ bool MateRegistry::check_consistent(const JobRegistry& jobs,
   for (const Job& job : jobs) {
     if (!job.running()) continue;
     expect_running.push_back(job.spec.id);
-    if (static_mate_eligible(job)) expect_mates.push_back(job.spec.id);
+    if (is_mate(job)) expect_mates.push_back(job.spec.id);
   }
   const auto fail = [diagnosis](const char* which, std::size_t have, std::size_t want) {
     if (diagnosis != nullptr) {

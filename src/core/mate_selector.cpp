@@ -42,15 +42,9 @@ void MateSelector::release_budgets(JobId job) noexcept {
 
 bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
                                  SimTime now) const noexcept {
-  if (!candidate.running() || !candidate.can_be_mate()) return false;
-  if (candidate.spec.id == guest.spec.id) return false;
-  if (candidate.started_as_guest) return false;
-  if (static_cast<int>(candidate.guests.size()) >= config_.max_jobs_per_node - 1) {
-    return false;
-  }
+  // Running, malleable, not a guest and not full are mates() invariants.
   if (candidate.spec.req_nodes > guest.spec.req_nodes) return false;  // w_i <= W
-  if (candidate.predicted_end <= now) return false;  // no remaining allocation
-  return true;
+  return candidate.predicted_end > now;  // remaining allocation
 }
 
 MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
@@ -154,7 +148,7 @@ std::vector<MateSelector::Candidate> MateSelector::collect_candidates(
   // move during the select (the registry does not grow mid-select).
   if (budget_cache_.size() < jobs_.size()) budget_cache_.resize(jobs_.size());
 
-  // Only the statically eligible mates, in ascending id order.
+  // Only the mates that can still take a guest, in ascending id order.
   std::vector<Candidate> candidates;
   candidates.reserve(registry_.mates().size());
   for (const JobId id : registry_.mates()) {

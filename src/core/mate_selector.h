@@ -18,8 +18,8 @@
 // truncated to `nm`; combinations of up to `m` mates are enumerated
 // depth-first with branch-and-bound pruning on the penalty lower bound.
 //
-// Cost model: candidate collection walks only the MateRegistry's
-// eligible-mate ids (the SdPolicyScheduler owns the registry it passes in),
+// Cost model: candidate collection walks only the MateRegistry's mates(),
+// which leaves out full mates (the SdPolicyScheduler owns the registry),
 // and free-node picks go through the ClusterStateIndex's class-partitioned
 // bitmap. Loop invariants of the DFS (the guest's balanced split and the
 // free-node prefix of a plan) are resolved once per select() / per
@@ -43,7 +43,7 @@ class MateRegistry;
 class MateSelector {
  public:
   /// `registry` supplies the candidate mates; it must hear every start and
-  /// finish of `jobs`.
+  /// finish of `jobs` and share `config.max_jobs_per_node`.
   MateSelector(const Machine& machine, const JobRegistry& jobs, const SdConfig& config,
                const MateRegistry& registry) noexcept
       : machine_(machine), jobs_(jobs), config_(config), registry_(registry) {}
@@ -72,7 +72,7 @@ class MateSelector {
   /// Work counters (observability for `micro_scheduler --sd-pass`).
   struct SelectStats {
     std::uint64_t selects = 0;                 ///< select() calls
-    std::uint64_t candidates_scanned = 0;      ///< jobs examined for the mate role
+    std::uint64_t candidates_scanned = 0;      ///< mates() entries walked (never full mates)
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
   };
@@ -91,7 +91,7 @@ class MateSelector {
   [[nodiscard]] const ScanSummary& last_scan() const noexcept { return last_scan_; }
 
  private:
-  /// Eligibility test for the mate role.
+  /// The mate checks that depend on the guest or on `now` (see mates()).
   [[nodiscard]] bool eligible_mate(const Job& candidate, const Job& guest,
                                    SimTime now) const noexcept;
 

@@ -13,11 +13,37 @@
 
 namespace sdsched {
 
+namespace {
+
+/// `sd`, or std::invalid_argument naming the first out-of-range field (a NaN
+/// sharing_factor would reach budgets_for's int cast; a NaN MAXSD never cuts).
+const SdConfig& validated(const SdConfig& sd) {
+  const auto reject = [](const char* field, const char* rule, double value) {
+    std::ostringstream oss;
+    oss << "SdConfig." << field << " must be " << rule << ", got " << value;
+    throw std::invalid_argument(oss.str());
+  };
+  if (!(sd.sharing_factor > 0.0 && sd.sharing_factor <= 1.0)) {
+    reject("sharing_factor", "a number in (0, 1]", sd.sharing_factor);
+  }
+  if (sd.max_mates < 1) reject("max_mates", ">= 1", sd.max_mates);
+  if (sd.max_jobs_per_node < 1) reject("max_jobs_per_node", ">= 1", sd.max_jobs_per_node);
+  if (sd.max_candidates < 0) reject("max_candidates", ">= 0", sd.max_candidates);
+  if (sd.scan.guest_budget < 0) reject("scan.guest_budget", ">= 0", sd.scan.guest_budget);
+  if (sd.cutoff.kind == CutoffKind::Static && !(sd.cutoff.value > 0.0)) {
+    reject("cutoff.value", "a number > 0 for a Static cut-off", sd.cutoff.value);
+  }
+  return sd;
+}
+
+}  // namespace
+
 SdPolicyScheduler::SdPolicyScheduler(Machine& machine, JobRegistry& jobs,
                                      StartExecutor& executor, SchedConfig sched_config,
-                                     SdConfig sd_config) noexcept
+                                     SdConfig sd_config)
     : BackfillScheduler(machine, jobs, executor, sched_config),
-      sd_config_(sd_config),
+      sd_config_(validated(sd_config)),
+      mate_registry_(sd_config_.max_jobs_per_node),
       selector_(machine, jobs, sd_config_, mate_registry_) {
   // Warm-start scenarios construct the scheduler against running jobs.
   mate_registry_.seed(jobs_);

@@ -16,10 +16,10 @@
 // most once per guest per pass. SD passes never take backfill's quiet-pass
 // skip: mall_end moves with `now`.
 //
-// The policy owns a MateRegistry — the incrementally maintained running /
-// eligible-mate id sets fed by the start and finish notifications the
-// schedulers emit — so neither the DynAVGSD cut-off nor candidate
-// collection rescans the whole job registry per malleable-start attempt.
+// The policy owns a MateRegistry — running / mate id sets, full mates left
+// out, fed by the start and finish notifications the schedulers emit — so
+// neither the DynAVGSD cut-off nor candidate collection rescans the whole
+// job registry per malleable-start attempt.
 // Under the cluster index's crosscheck() switch every pass re-derives the
 // registry by brute force and throws std::logic_error on disagreement.
 //
@@ -47,8 +47,10 @@ namespace sdsched {
 
 class SdPolicyScheduler final : public BackfillScheduler {
  public:
+  /// Throws std::invalid_argument naming any out-of-range SdConfig field and
+  /// its value.
   SdPolicyScheduler(Machine& machine, JobRegistry& jobs, StartExecutor& executor,
-                    SchedConfig sched_config, SdConfig sd_config) noexcept;
+                    SchedConfig sched_config, SdConfig sd_config);
 
   [[nodiscard]] const char* name() const noexcept override { return "sd-policy"; }
   [[nodiscard]] const SdConfig& sd_config() const noexcept { return sd_config_; }
@@ -63,7 +65,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   }
 
   void on_finish(JobId job) override {
-    mate_registry_.on_finish(job);
+    mate_registry_.on_finish(jobs_.at(job), jobs_);
     selector_.release_budgets(job);
     BackfillScheduler::on_finish(job);
   }
@@ -91,7 +93,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& est_start,
                      ReservationProfile& profile) override;
 
-  void on_job_started(JobId job) override { mate_registry_.on_start(jobs_.at(job)); }
+  void on_job_started(JobId job) override { mate_registry_.on_start(jobs_.at(job), jobs_); }
 
  private:
   /// This pass's MAX_SLOWDOWN cut-off, through the one-slot

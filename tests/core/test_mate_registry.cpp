@@ -18,6 +18,8 @@ namespace sdsched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The default SdConfig's occupancy cap: one owner + one guest.
+const int kDefaultCap = SdConfig{}.max_jobs_per_node;
 
 JobSpec spec_of(SimTime submit, SimTime req_time, int req_nodes, int cores_per_node,
                 MalleabilityClass cls = MalleabilityClass::Malleable) {
@@ -33,19 +35,19 @@ JobSpec spec_of(SimTime submit, SimTime req_time, int req_nodes, int cores_per_n
 
 TEST(MateRegistry, TracksLifecycleTransitions) {
   JobRegistry jobs;
-  MateRegistry registry;
+  MateRegistry registry(kDefaultCap);
 
   const JobId malleable = jobs.add(spec_of(0, 100, 1, 48));
   const JobId rigid = jobs.add(spec_of(0, 100, 1, 48, MalleabilityClass::Rigid));
   const JobId guest = jobs.add(spec_of(0, 100, 1, 48));
 
   jobs.at(malleable).state = JobState::Running;
-  registry.on_start(jobs.at(malleable));
+  registry.on_start(jobs.at(malleable), jobs);
   jobs.at(rigid).state = JobState::Running;
-  registry.on_start(jobs.at(rigid));
+  registry.on_start(jobs.at(rigid), jobs);
   jobs.at(guest).state = JobState::Running;
   jobs.at(guest).started_as_guest = true;
-  registry.on_start(jobs.at(guest));
+  registry.on_start(jobs.at(guest), jobs);
 
   // All three run; only the plain malleable job is mate-eligible.
   EXPECT_EQ(registry.running(), (std::vector<JobId>{malleable, rigid, guest}));
@@ -54,7 +56,7 @@ TEST(MateRegistry, TracksLifecycleTransitions) {
   EXPECT_TRUE(registry.check_consistent(jobs, &diag)) << diag;
 
   jobs.at(malleable).state = JobState::Completed;
-  registry.on_finish(malleable);
+  registry.on_finish(jobs.at(malleable), jobs);
   EXPECT_EQ(registry.running(), (std::vector<JobId>{rigid, guest}));
   EXPECT_TRUE(registry.mates().empty());
   EXPECT_TRUE(registry.check_consistent(jobs, &diag)) << diag;
@@ -68,7 +70,7 @@ TEST(MateRegistry, SeedIndexesAPopulatedRegistry) {
   jobs.at(b).state = JobState::Running;
   jobs.at(b).started_as_guest = true;
 
-  MateRegistry registry;
+  MateRegistry registry(kDefaultCap);
   registry.seed(jobs);
   EXPECT_EQ(registry.running(), (std::vector<JobId>{a, b}));
   EXPECT_EQ(registry.mates(), (std::vector<JobId>{a}));
@@ -79,10 +81,137 @@ TEST(MateRegistry, CheckConsistentCatchesAMissedStart) {
   const JobId a = jobs.add(spec_of(0, 100, 1, 48));
   jobs.at(a).state = JobState::Running;
 
-  MateRegistry registry;  // never told about `a`
+  MateRegistry registry(kDefaultCap);  // never told about `a`
   std::string diag;
   EXPECT_FALSE(registry.check_consistent(jobs, &diag));
   EXPECT_FALSE(diag.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Full mates: the hosted-guest cap through real NodeManager starts/finishes.
+// ---------------------------------------------------------------------------
+
+/// Four 48-core nodes; every lifecycle step goes through the NodeManager
+/// first and the registry second, as SdPolicyScheduler sees them.
+struct HostingWorld {
+  explicit HostingWorld(int cap)
+      : machine(make_machine()), mgr(machine, jobs, drom), registry(cap) {}
+
+  static MachineConfig make_machine() {
+    MachineConfig mc;
+    mc.nodes = 4;
+    mc.node = NodeConfig{2, 24};
+    return mc;
+  }
+
+  JobId start_mate(int node) {
+    const JobId id = jobs.add(spec_of(0, 10000, 1, 48));
+    jobs.at(id).state = JobState::Running;
+    jobs.at(id).predicted_end = 10000;
+    mgr.start_static(0, id, {node});
+    registry.on_start(jobs.at(id), jobs);
+    return id;
+  }
+
+  /// A guest taking `cpus` of `mate`'s share on `node`.
+  JobId start_guest(JobId mate, int node, int cpus) {
+    const JobId id = jobs.add(spec_of(0, 100, 1, 48));
+    const int kept = machine.node(node).occupant(mate)->cpus - cpus;
+    mgr.start_guest(0, id, {SharePlan{node, mate, cpus, kept, 48}});
+    jobs.at(id).state = JobState::Running;
+    registry.on_start(jobs.at(id), jobs);
+    return id;
+  }
+
+  void finish(JobId id) {
+    jobs.at(id).state = JobState::Completed;
+    mgr.finish_job(100, id);
+    registry.on_finish(jobs.at(id), jobs);
+  }
+
+  [[nodiscard]] bool consistent() const {
+    std::string diag;
+    const bool ok = registry.check_consistent(jobs, &diag);
+    EXPECT_TRUE(ok) << diag;
+    return ok;
+  }
+
+  Machine machine;
+  JobRegistry jobs;
+  DromRegistry drom;
+  NodeManager mgr;
+  MateRegistry registry;
+};
+
+TEST(MateRegistry, FullMateLeavesAndReturnsInIdOrder) {
+  HostingWorld world(2);
+  const JobId a = world.start_mate(0);
+  const JobId b = world.start_mate(1);
+  const JobId c = world.start_mate(2);
+  const JobId g = world.start_guest(b, 1, 24);
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{a, c}));
+  EXPECT_EQ(world.registry.running(), (std::vector<JobId>{a, b, c, g}));
+  EXPECT_TRUE(world.consistent());
+
+  world.finish(g);
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{a, b, c}));
+  EXPECT_EQ(world.registry.running(), (std::vector<JobId>{a, b, c}));
+  EXPECT_TRUE(world.consistent());
+}
+
+TEST(MateRegistry, CapThreeKeepsAMateWithOneGuest) {
+  HostingWorld world(3);
+  const JobId m = world.start_mate(0);
+  const JobId g1 = world.start_guest(m, 0, 16);
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{m}));
+  const JobId g2 = world.start_guest(m, 0, 16);
+  EXPECT_TRUE(world.registry.mates().empty());
+  EXPECT_TRUE(world.consistent());
+
+  world.finish(g1);
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{m}));
+  world.finish(g2);
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{m}));
+  EXPECT_TRUE(world.consistent());
+}
+
+TEST(MateRegistry, MateThatFinishedFirstIsNotRelisted) {
+  HostingWorld world(2);
+  const JobId m = world.start_mate(0);
+  const JobId other = world.start_mate(1);
+  const JobId g = world.start_guest(m, 0, 24);
+  world.finish(m);  // the guest outlives its mate
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{other}));
+  world.finish(g);
+  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{other}));
+  EXPECT_TRUE(world.consistent());
+}
+
+TEST(MateRegistry, CapOneListsNoMates) {
+  HostingWorld world(1);  // owner only: no node can take a guest
+  world.start_mate(0);
+  world.start_mate(1);
+  EXPECT_TRUE(world.registry.mates().empty());
+  EXPECT_EQ(world.registry.running().size(), 2u);
+  EXPECT_TRUE(world.consistent());
+}
+
+TEST(MateRegistry, CheckConsistentCatchesAMissedGuestFinish) {
+  HostingWorld world(2);
+  const JobId m = world.start_mate(0);
+  const JobId g = world.start_guest(m, 0, 24);
+  world.jobs.at(g).state = JobState::Completed;
+  world.mgr.finish_job(100, g);  // the registry never hears of it
+  std::string diag;
+  EXPECT_FALSE(world.registry.check_consistent(world.jobs, &diag));
+  EXPECT_NE(diag.find("running"), std::string::npos) << diag;
+
+  // Told of the finish but not of the mate it freed: the mate set diverges.
+  Job forgetful = world.jobs.at(g);
+  forgetful.mates.clear();
+  world.registry.on_finish(forgetful, world.jobs);
+  EXPECT_FALSE(world.registry.check_consistent(world.jobs, &diag));
+  EXPECT_NE(diag.find("mate set"), std::string::npos) << diag;
 }
 
 // ---------------------------------------------------------------------------
@@ -95,7 +224,7 @@ TEST(MateRegistry, CheckConsistentCatchesAMissedStart) {
 std::optional<MatePlan> seeded_select(const Machine& machine, const JobRegistry& jobs,
                                       const ClusterStateIndex& index, const SdConfig& sd,
                                       const Job& guest, SimTime now, double cutoff) {
-  MateRegistry seeded;
+  MateRegistry seeded(sd.max_jobs_per_node);
   seeded.seed(jobs);
   MateSelector selector(machine, jobs, sd, seeded);
   selector.set_cluster_index(&index);
@@ -136,10 +265,10 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
   DromRegistry drom;
   NodeManager mgr(machine, jobs, drom);
   ClusterStateIndex index(machine, jobs);
-  MateRegistry registry;
 
   SdConfig sd;
   sd.max_jobs_per_node = 3;  // keep M mate-eligible while it hosts G
+  MateRegistry registry(sd.max_jobs_per_node);
   MateSelector indexed(machine, jobs, sd, registry);
   indexed.set_cluster_index(&index);
 
@@ -148,14 +277,14 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
   jobs.at(m).state = JobState::Running;
   jobs.at(m).predicted_end = 10000;
   mgr.start_static(0, m, {0});
-  registry.on_start(jobs.at(m));
+  registry.on_start(jobs.at(m), jobs);
 
   // Guest G takes 24 of M's cores; M's end still dominates the node.
   const JobId g = jobs.add(spec_of(0, 100, 1, 48));
   jobs.at(g).state = JobState::Running;
   jobs.at(g).predicted_end = 200;
   mgr.start_guest(0, g, {SharePlan{0, m, 24, 24, 48}});
-  registry.on_start(jobs.at(g));
+  registry.on_start(jobs.at(g), jobs);
 
   // Populate the cache while M is shrunk: no plan fits (M cannot shed more).
   const JobId probe1 = jobs.add(spec_of(10, 50, 1, 48));
@@ -169,7 +298,7 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
   jobs.at(g).state = JobState::Completed;
   jobs.at(g).end_time = 200;
   mgr.finish_job(200, g);
-  registry.on_finish(g);
+  registry.on_finish(jobs.at(g), jobs);
   EXPECT_EQ(index.version(), version_before);  // below the version's resolution
 
   // The warm selector must now see the expanded mate and agree with a cold
@@ -181,7 +310,8 @@ TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
   ASSERT_TRUE(plans_equal(seeded_plan, indexed_plan));
 }
 
-TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
+/// The parity walk at occupancy cap `cap` (registry and selector share it).
+void selection_parity_over_recorded_lifecycle(int cap) {
   MachineConfig mc;
   mc.nodes = 12;
   mc.node = NodeConfig{2, 4};
@@ -190,9 +320,10 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
   DromRegistry drom;
   NodeManager mgr(machine, jobs, drom);
   ClusterStateIndex index(machine, jobs);
-  MateRegistry registry;
 
   SdConfig sd;
+  sd.max_jobs_per_node = cap;
+  MateRegistry registry(sd.max_jobs_per_node);
   MateSelector indexed(machine, jobs, sd, registry);
   indexed.set_cluster_index(&index);
 
@@ -227,7 +358,7 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
         job.start_time = now;
         job.predicted_end = now + job.spec.req_time;
         mgr.start_static(now, id, *nodes);
-        registry.on_start(job);
+        registry.on_start(job, jobs);
         running.push_back(id);
       }
     } else if (op < 7 && !running.empty()) {
@@ -237,7 +368,7 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
       jobs.at(id).state = JobState::Completed;
       jobs.at(id).end_time = now;
       mgr.finish_job(now, id);
-      registry.on_finish(id);
+      registry.on_finish(jobs.at(id), jobs);
     } else if (!running.empty()) {
       // Guest start through the selector itself: take the reference plan
       // (parity with the incremental one is asserted below) and apply it.
@@ -257,13 +388,13 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
           index.on_predicted_end_changed(plan->mates[i]);
         }
         mgr.start_guest(now, guest_id, plan->nodes);
-        registry.on_start(guest);
+        registry.on_start(guest, jobs);
         running.push_back(guest_id);
       }
     }
 
     ASSERT_TRUE(registry.check_consistent(jobs, &diag)) << "step " << step << ": " << diag;
-    MateRegistry seeded;
+    MateRegistry seeded(sd.max_jobs_per_node);
     seeded.seed(jobs);
     ASSERT_EQ(registry.running(), seeded.running()) << "step " << step;
     ASSERT_EQ(registry.mates(), seeded.mates()) << "step " << step;
@@ -282,6 +413,14 @@ TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
     }
   }
   EXPECT_GT(compared, 0);  // the walk actually produced plans to compare
+}
+
+TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
+  for (const int cap : {2, 3}) {
+    SCOPED_TRACE(cap);
+    selection_parity_over_recorded_lifecycle(cap);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@ class MateSelectorTest : public ::testing::Test {
       : machine_(make_config()),
         index_(machine_, jobs_),
         mgr_(machine_, jobs_, drom_),
+        registry_(sd_.max_jobs_per_node),
         selector_(selector_for(sd_)) {}
 
   /// A selector over the fixture's registry and index.
@@ -32,7 +33,7 @@ class MateSelectorTest : public ::testing::Test {
   /// Mark `id` running and tell the registry (the scheduler's start hook).
   void mark_running(JobId id) {
     jobs_.at(id).state = JobState::Running;
-    registry_.on_start(jobs_.at(id));
+    registry_.on_start(jobs_.at(id), jobs_);
   }
 
   static MachineConfig make_config() {
@@ -176,15 +177,24 @@ TEST_F(MateSelectorTest, RigidJobsAreNotMates) {
 }
 
 TEST_F(MateSelectorTest, BusyMatesWithGuestsAreIneligible) {
-  const JobId mate = run_mate(2, 0, 10000);
-  jobs_.at(mate).guests.push_back(999);  // already hosting
+  run_mate(2, 0, 10000);
+  // A real guest start fills the mate (default cap: one owner + one guest).
+  const JobId hosted = pending_guest(2, 100).spec.id;
+  const auto first = selector_.select(jobs_.at(hosted), 0, kInf);
+  ASSERT_TRUE(first.has_value());
+  mgr_.start_guest(0, hosted, first->nodes);
+  mark_running(hosted);
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
 }
 
 TEST_F(MateSelectorTest, ExGuestsAreIneligible) {
-  const JobId mate = run_mate(2, 0, 10000);
-  jobs_.at(mate).started_as_guest = true;
+  Job& ex_guest = pending_guest(2, 10000);
+  ex_guest.predicted_end = 10000;
+  ex_guest.started_as_guest = true;  // before the registry hears the start
+  const JobId mate = ex_guest.spec.id;
+  mark_running(mate);
+  mgr_.start_static(0, mate, *machine_.find_free_nodes(2));
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "../sched/scheduler_test_harness.h"
 #include "../scoped_env.h"
@@ -200,6 +203,57 @@ TEST_F(SdPolicyTest, NameAndConfigExposed) {
   EXPECT_STREQ(sched_.name(), "sd-policy");
   EXPECT_DOUBLE_EQ(sched_.sd_config().sharing_factor, 0.5);
   EXPECT_EQ(sched_.sd_config().max_mates, 2);
+}
+
+// An out-of-range SdConfig is a usage error naming the field and the value,
+// never undefined behaviour in the selector's arithmetic.
+TEST_F(SdPolicyTest, RejectsOutOfRangeConfigNamingFieldAndValue) {
+  const auto error_for = [&](auto&& mutate) -> std::string {
+    SdConfig config;
+    mutate(config);
+    try {
+      const SdPolicyScheduler bad(machine_, jobs_, executor_, SchedConfig{}, config);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(error_for([](SdConfig& c) { c.sharing_factor = std::nan(""); }),
+            "SdConfig.sharing_factor must be a number in (0, 1], got nan");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.sharing_factor = 1e300; }),
+            "SdConfig.sharing_factor must be a number in (0, 1], got 1e+300");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.sharing_factor = 0.0; }),
+            "SdConfig.sharing_factor must be a number in (0, 1], got 0");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.max_mates = 0; }),
+            "SdConfig.max_mates must be >= 1, got 0");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.max_jobs_per_node = 0; }),
+            "SdConfig.max_jobs_per_node must be >= 1, got 0");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.max_candidates = -1; }),
+            "SdConfig.max_candidates must be >= 0, got -1");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.scan.guest_budget = -1; }),
+            "SdConfig.scan.guest_budget must be >= 0, got -1");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.cutoff = CutoffConfig::max_sd(-1.0); }),
+            "SdConfig.cutoff.value must be a number > 0 for a Static cut-off, got -1");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.cutoff = CutoffConfig::max_sd(std::nan("")); }),
+            "SdConfig.cutoff.value must be a number > 0 for a Static cut-off, got nan");
+
+  // Every in-tree configuration stays valid: the ablation's sf / m / nm
+  // variants, MAXSD 5/10/50, the unbounded cut-off and a one-owner node.
+  for (const double sf : {0.25, 0.5, 0.75, 1.0}) {
+    EXPECT_EQ(error_for([sf](SdConfig& c) { c.sharing_factor = sf; }), "accepted");
+  }
+  for (const int m : {1, 3}) {
+    EXPECT_EQ(error_for([m](SdConfig& c) { c.max_mates = m; }), "accepted");
+  }
+  for (const int nm : {0, 16}) {
+    EXPECT_EQ(error_for([nm](SdConfig& c) { c.max_candidates = nm; }), "accepted");
+  }
+  for (const double maxsd : {5.0, 10.0, 50.0}) {
+    EXPECT_EQ(error_for([maxsd](SdConfig& c) { c.cutoff = CutoffConfig::max_sd(maxsd); }),
+              "accepted");
+  }
+  EXPECT_EQ(error_for([](SdConfig& c) { c.cutoff = CutoffConfig::infinite(); }), "accepted");
+  EXPECT_EQ(error_for([](SdConfig& c) { c.max_jobs_per_node = 1; }), "accepted");
 }
 
 TEST_F(SdPolicyTest, DynAvgSdIsConservativeOnLoneMate) {

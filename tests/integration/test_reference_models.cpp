@@ -114,7 +114,7 @@ struct SelectorWorld {
     job.start_time = start;
     job.predicted_end = start + req;
     mgr.start_static(start, id, *machine.find_free_nodes(node_count));
-    registry.on_start(jobs.at(id));
+    registry.on_start(jobs.at(id), jobs);
     return id;
   }
 
@@ -130,7 +130,7 @@ struct SelectorWorld {
   ClusterStateIndex index{machine, jobs};
   DromRegistry drom;
   NodeManager mgr;
-  MateRegistry registry;
+  MateRegistry registry{SdConfig{}.max_jobs_per_node};  // every caller's SdConfig cap
 };
 
 /// Exhaustive minimum-PI search (m <= 2) with the same penalty math: mate
@@ -254,7 +254,7 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
             world.index.on_predicted_end_changed(plan->mates[i]);
           }
           world.mgr.start_guest(now, id, plan->nodes);
-          world.registry.on_start(world.jobs.at(id));
+          world.registry.on_start(world.jobs.at(id), world.jobs);
           running.push_back(id);
         }
       }
@@ -266,7 +266,7 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
       world.jobs.at(id).state = JobState::Completed;
       world.jobs.at(id).end_time = now;
       world.mgr.finish_job(now, id);
-      world.registry.on_finish(id);
+      world.registry.on_finish(world.jobs.at(id), world.jobs);
     }
 
     // Invariants after every step.
