@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "sched/backfill.h"
 #include "sched/fcfs.h"
@@ -10,6 +11,22 @@
 #include "workload/app_profiles.h"
 
 namespace sdsched {
+
+namespace {
+
+/// Throws std::invalid_argument naming the first out-of-range field (a
+/// negative bf_interval would read as "no ticks"; bf_max_jobs < 1 starts nothing).
+void validate(const SchedConfig& sched) {
+  const auto reject = [](const char* field, const char* rule, long long value) {
+    throw std::invalid_argument(std::string("SchedConfig.") + field + " must be " + rule +
+                                ", got " + std::to_string(value));
+  };
+  if (sched.bf_interval < 0) reject("bf_interval", ">= 0", sched.bf_interval);
+  if (sched.reservation_depth < 0) reject("reservation_depth", ">= 0", sched.reservation_depth);
+  if (sched.bf_max_jobs < 1) reject("bf_max_jobs", ">= 1", sched.bf_max_jobs);
+}
+
+}  // namespace
 
 Simulation::Simulation(SimulationConfig config, Workload workload)
     : config_(config),
@@ -22,6 +39,7 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
     throw std::invalid_argument("Simulation: shards.count must be 1, got " +
                                 std::to_string(config_.shards.count));
   }
+  validate(config_.sched);
   // Already-prepared workloads (the generators and SweepRunner prepare once)
   // stay shared — no per-simulation deep copy; anything else gets a private
   // prepared copy, exactly as before.

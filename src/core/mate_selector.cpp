@@ -50,13 +50,12 @@ bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
 MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
                                                        const Job& guest) const {
   CachedBudgets& slot = budget_cache_[static_cast<std::size_t>(job.spec.id)];
-  // Budgets read mate shares and node free cores — state BELOW the index's
-  // own resolution (a share resize can leave a node's free_at untouched),
-  // so the cache keys on mutation_serial(), which bumps on every machine
-  // notification, not on version(), which only bumps when indexed state
-  // changed. Adaptive sharing makes the SharingFactor a function of the
-  // (mate, guest) pairing, so it refills every time.
-  if (!config_.adaptive_sharing && slot.valid && slot.version == index_->mutation_serial()) {
+  // Valid until a node the mate holds is notified (docs/determinism.md
+  // "Budget-cache validity"). Adaptive sharing makes the SharingFactor a
+  // function of the (mate, guest) pairing, so it refills every time.
+  if (!config_.adaptive_sharing && slot.valid &&
+      index_->occupancy_serial(job.spec.id) <= slot.version) {
+    if (index_->crosscheck()) verify_budgets(job, slot);
     return slot;
   }
 
@@ -67,7 +66,13 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
           ? adaptive_sharing_factor(config_.sharing_factor, profile_of(job),
                                     profile_of(guest))
           : config_.sharing_factor;
+  ++stats_.budget_refills;
+  fill_budgets(job, sharing_factor, slot);
+  return slot;
+}
 
+void MateSelector::fill_budgets(const Job& job, double sharing_factor,
+                                CachedBudgets& slot) const {
   slot.nodes.clear();
   slot.feasible = true;
   slot.memo_u_max = -1;
@@ -94,7 +99,20 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
   }
   slot.valid = true;
   slot.version = index_->mutation_serial();
-  return slot;
+}
+
+void MateSelector::verify_budgets(const Job& job, const CachedBudgets& cached) const {
+  CachedBudgets fresh;
+  fill_budgets(job, config_.sharing_factor, fresh);
+  if (fresh.feasible == cached.feasible && fresh.nodes == cached.nodes) return;
+  // A fill stops at an infeasible share, so the first share the two
+  // disagree on names the node.
+  const auto i = static_cast<std::size_t>(
+      std::mismatch(fresh.nodes.begin(), fresh.nodes.end(), cached.nodes.begin(),
+                    cached.nodes.end()).first - fresh.nodes.begin());
+  throw std::logic_error("MateSelector budget cache diverged from a fresh fill: job " +
+                         std::to_string(job.spec.id) + " node " +
+                         std::to_string(i < job.shares.size() ? job.shares[i].node : -1));
 }
 
 void MateSelector::examine_candidate(const Job& job, const Job& guest, SimTime now,

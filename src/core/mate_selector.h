@@ -75,6 +75,7 @@ class MateSelector {
     std::uint64_t candidates_scanned = 0;      ///< mates() entries walked (never full mates)
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
+    std::uint64_t budget_refills = 0;          ///< node-budget fills (cache misses)
   };
   [[nodiscard]] const SelectStats& stats() const noexcept { return stats_; }
 
@@ -102,14 +103,16 @@ class MateSelector {
     int mate_min = 1;        ///< rank floor
     int idle = 0;            ///< free cores on the node
     int guest_max = 0;       ///< most the guest could get on this node
+    bool operator==(const NodeBudget&) const = default;
   };
   /// A candidate's per-share budgets are guest-independent (unless
   /// adaptive sharing ties the SharingFactor to the pairing), so they are
-  /// cached per job and recomputed only when the cluster index reports a
-  /// machine notification (mutation_serial — budgets read per-share core
-  /// counts below the resolution of the index's change-only version).
+  /// cached per job. They read only the mate's own shares and the free
+  /// cores of the nodes it holds, so a slot is refilled only once the
+  /// index's occupancy_serial(job) passes the serial it was filled at —
+  /// a mutation on a node the mate does not hold leaves it valid.
   struct CachedBudgets {
-    std::uint64_t version = 0;  ///< index mutation serial the budgets reflect
+    std::uint64_t version = 0;  ///< index mutation serial the budgets were filled at
     bool valid = false;         ///< version/contents are meaningful
     bool feasible = false;      ///< every share can host >= 1 guest cpu
     std::vector<NodeBudget> nodes;
@@ -142,6 +145,10 @@ class MateSelector {
                          double max_slowdown, SimTime quick_d0, int u_max,
                          std::vector<Candidate>& out) const;
   [[nodiscard]] CachedBudgets& budgets_for(const Job& job, const Job& guest) const;
+  void fill_budgets(const Job& job, double sharing_factor, CachedBudgets& slot) const;
+  /// Crosscheck of a cache hit: throws std::logic_error naming the job and
+  /// the first node whose fresh budget differs.
+  void verify_budgets(const Job& job, const CachedBudgets& cached) const;
   [[nodiscard]] bool resolve_free_prefix(const Job& guest, int free_used,
                                          const std::vector<int>& needs,
                                          FreePrefix& out) const;
@@ -159,9 +166,10 @@ class MateSelector {
   mutable ScanSummary last_scan_;
   /// Indexed by JobId; sized to the job registry at the start of a collect,
   /// so entries (and the pointers Candidates take into them) stay put for
-  /// the whole select. Budgets are reused across selects and passes while
-  /// the index's mutation serial is unchanged; with adaptive sharing, whose
-  /// SharingFactor depends on the guest, every examine refills its slot.
+  /// the whole select. Budgets are reused across selects and passes until
+  /// a node the mate holds is notified (occupancy_serial); with adaptive
+  /// sharing, whose SharingFactor depends on the guest, every examine
+  /// refills its slot. Under crosscheck() every hit is re-derived.
   mutable std::vector<CachedBudgets> budget_cache_;
 };
 

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
+#include "../scoped_env.h"
 #include "cluster/cluster_state_index.h"
 #include "core/mate_registry.h"
 #include "drom/node_manager.h"
+#include "mate_plan_parity.h"
 
 namespace sdsched {
 namespace {
@@ -71,6 +75,27 @@ class MateSelectorTest : public ::testing::Test {
     spec.req_nodes = nodes;
     const JobId id = jobs_.add(spec);
     return jobs_.at(id);
+  }
+
+  /// A rigid running job on `nodes` free nodes: never a mate itself, so a
+  /// select only reads it through the nodes it occupies.
+  JobId run_rigid(int nodes, SimTime req_time) {
+    JobSpec spec;
+    spec.req_time = req_time;
+    spec.base_runtime = req_time;
+    spec.req_cpus = nodes * 48;
+    spec.req_nodes = nodes;
+    spec.malleability = MalleabilityClass::Rigid;
+    const JobId id = jobs_.add(spec);
+    jobs_.at(id).predicted_end = req_time;
+    mark_running(id);
+    mgr_.start_static(0, id, *machine_.find_free_nodes(nodes));
+    return id;
+  }
+
+  /// What a cold selector over a freshly seeded registry finds.
+  std::optional<MatePlan> seeded_plan(const Job& guest, SimTime now) {
+    return testing_support::seeded_select(machine_, jobs_, index_, sd_, guest, now, kInf);
   }
 
   Machine machine_;
@@ -272,6 +297,61 @@ TEST_F(MateSelectorTest, SelectWithoutClusterIndexThrows) {
   run_mate(2, 0, 10000);
   const MateSelector detached(machine_, jobs_, sd_, registry_);
   EXPECT_THROW((void)detached.select(pending_guest(2, 100), 0, kInf), std::logic_error);
+}
+
+TEST_F(MateSelectorTest, BudgetCacheSurvivesUnrelatedMutation) {
+  run_mate(2, 0, 10000);  // nodes 0-1
+  Job& guest = pending_guest(2, 100);
+  ASSERT_TRUE(selector_.select(guest, 0, kInf).has_value());
+  const std::uint64_t refills = selector_.stats().budget_refills;
+  EXPECT_EQ(refills, 1u);
+
+  // A start on nodes the mate does not hold moves the mutation serial but
+  // stamps only its own occupant: the mate's budgets stay cached.
+  const JobId other = run_rigid(2, 5000);  // nodes 2-3
+  const JobId probe1 = pending_guest(2, 100).spec.id;
+  const auto warm1 = selector_.select(jobs_.at(probe1), 10, kInf);
+  EXPECT_EQ(selector_.stats().budget_refills, refills);
+  ASSERT_TRUE(warm1.has_value());
+  EXPECT_TRUE(testing_support::plans_equal(warm1, seeded_plan(jobs_.at(probe1), 10)));
+
+  // So does its finish.
+  jobs_.at(other).state = JobState::Completed;
+  mgr_.finish_job(20, other);
+  registry_.on_finish(jobs_.at(other), jobs_);
+  const JobId probe2 = pending_guest(2, 100).spec.id;
+  const auto warm2 = selector_.select(jobs_.at(probe2), 20, kInf);
+  EXPECT_EQ(selector_.stats().budget_refills, refills);
+  ASSERT_TRUE(warm2.has_value());
+  EXPECT_TRUE(testing_support::plans_equal(warm2, seeded_plan(jobs_.at(probe2), 20)));
+}
+
+TEST_F(MateSelectorTest, CrosscheckCatchesStaleBudgets) {
+  // The switch is read once per index, so this test builds its own.
+  const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+  ClusterStateIndex checked(machine_, jobs_);
+  MateSelector selector(machine_, jobs_, sd_, registry_);
+  selector.set_cluster_index(&checked);
+
+  const JobId mate = run_mate(1, 0, 10000);  // node 0
+  const JobId first = pending_guest(1, 100).spec.id;
+  ASSERT_TRUE(selector.select(jobs_.at(first), 0, kInf).has_value());  // fills
+
+  // A resize the index never hears of: the mate's node gains free cores
+  // without stamping the mate, so the next hit serves stale budgets.
+  machine_.set_observer(nullptr);
+  ASSERT_TRUE(machine_.resize_share(0, mate, 0, 40));
+  machine_.set_observer(&checked);
+
+  const JobId second = pending_guest(1, 100).spec.id;
+  try {
+    (void)selector.select(jobs_.at(second), 0, kInf);
+    FAIL() << "stale budgets went unnoticed";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job " + std::to_string(mate) + " node 0"), std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(MateSelectorTest, PendingJobsNeverSelected) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "api/experiment.h"
 
 namespace sdsched {
 namespace {
@@ -53,6 +56,47 @@ TEST(Simulation, RejectsShardCountOtherThanOne) {
     config.shards.count = count;
     EXPECT_THROW((void)Simulation(config, w), std::invalid_argument) << count << " shards";
   }
+}
+
+TEST(Simulation, RejectsOutOfRangeSchedConfig) {
+  Workload w;
+  w.add(job_of(0, 100, 100, 2));
+  const auto error_for = [&w](SimulationConfig config) -> std::string {
+    try {
+      const Simulation sim(config, w);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const auto with_sched = [](auto&& mutate) {
+    SimulationConfig config = config_for(PolicyKind::SdPolicy);
+    mutate(config.sched);
+    return config;
+  };
+  EXPECT_EQ(error_for(with_sched([](SchedConfig& c) { c.bf_interval = -1; })),
+            "SchedConfig.bf_interval must be >= 0, got -1");
+  EXPECT_EQ(error_for(with_sched([](SchedConfig& c) { c.reservation_depth = -1; })),
+            "SchedConfig.reservation_depth must be >= 0, got -1");
+  EXPECT_EQ(error_for(with_sched([](SchedConfig& c) { c.bf_max_jobs = 0; })),
+            "SchedConfig.bf_max_jobs must be >= 1, got 0");
+  EXPECT_EQ(error_for(with_sched([](SchedConfig& c) { c.bf_max_jobs = -5; })),
+            "SchedConfig.bf_max_jobs must be >= 1, got -5");
+
+  // The in-tree configurations stay valid: both experiment presets, the
+  // ablation's EASY (depth 1) baseline, and bf_interval 0 (no ticks).
+  const MachineConfig machine = small_machine();
+  EXPECT_EQ(error_for(baseline_config(machine)), "accepted");
+  EXPECT_EQ(error_for(sd_config(machine, CutoffConfig::dynamic_avg())), "accepted");
+  SimulationConfig easy = baseline_config(machine);
+  easy.sched.reservation_depth = 1;
+  EXPECT_EQ(error_for(easy), "accepted");
+  EXPECT_EQ(error_for(with_sched([](SchedConfig& c) {
+              c.bf_interval = 0;
+              c.reservation_depth = 0;
+              c.bf_max_jobs = 1;
+            })),
+            "accepted");
 }
 
 TEST(Simulation, EveryJobCompletesExactlyOnce) {
