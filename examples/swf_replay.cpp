@@ -75,4 +75,8 @@ int main(int argc, char** argv) try {
   // A malformed flag (--jobs=abc) is a usage error, not a crash.
   std::fprintf(stderr, "%s: %s\n", "swf_replay", e.what());
   return 2;
+} catch (const std::runtime_error& e) {
+  // So is an unreadable or out-of-range SWF file ("SWF line N: ...").
+  std::fprintf(stderr, "%s: %s\n", "swf_replay", e.what());
+  return 2;
 }

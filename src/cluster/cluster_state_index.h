@@ -107,6 +107,9 @@ class ClusterStateIndex final : public MachineObserver {
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
+  /// Bitmap words find_free_nodes() has read (FreeNodeIndex::words_read).
+  [[nodiscard]] std::uint64_t free_words_read() const noexcept { return free_runs_.words_read(); }
+
   // --- attribute-class layer (constraint-class-aware profiles) ---
 
   [[nodiscard]] int class_count() const noexcept {

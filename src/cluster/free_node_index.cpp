@@ -68,12 +68,14 @@ std::optional<std::vector<int>> FreeNodeIndex::pick(int count,
     single = &classes_[static_cast<std::size_t>(classes.front())];
   }
   const auto word_at = [&](std::size_t w) -> std::uint64_t {
+    ++words_read_;
     if (single != nullptr) return single->words[w];
     std::uint64_t bits = 0;
     for (const int cls : classes) bits |= classes_[static_cast<std::size_t>(cls)].words[w];
     return bits;
   };
   const auto summary_at = [&](std::size_t s) -> std::uint64_t {
+    ++words_read_;
     if (single != nullptr) return single->summary[s];
     std::uint64_t bits = 0;
     for (const int cls : classes) bits |= classes_[static_cast<std::size_t>(cls)].summary[s];

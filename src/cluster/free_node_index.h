@@ -82,6 +82,9 @@ class FreeNodeIndex {
     return classes_[static_cast<std::size_t>(cls)].summary;
   }
 
+  /// Merged bitmap and summary words pick() has read, over every call.
+  [[nodiscard]] std::uint64_t words_read() const noexcept { return words_read_; }
+
   /// Verify against `is_free` (a brute-force free predicate over node ids):
   /// every bit, the summary level and the cached counts. On mismatch
   /// returns false and, if given, fills `diagnosis`.
@@ -100,6 +103,7 @@ class FreeNodeIndex {
   std::vector<int> node_class_;
   std::size_t word_count_ = 0;  ///< ceil(node count / 64), shared by all classes
   int free_ = 0;
+  mutable std::uint64_t words_read_ = 0;
 };
 
 }  // namespace sdsched

@@ -14,24 +14,14 @@
 //    changes which guests reach it. K = 0 (the default) is unbounded and
 //    byte-identical to the historical pass.
 //
-//  * GuestScanLedger — skip the mate search for a guest whose previous
-//    search failed in a provably unchanged state. The proof (spelled out
-//    in docs/determinism.md "Scan-ledger skip safety"): at a fixed
-//    ClusterStateIndex mutation_serial, every ingredient of a select() is
-//    constant or monotonically *harder* in `now` — candidate penalties
-//    and the DynAVGSD cut-off are now-independent (running jobs' waits
-//    froze at their starts), the eligible candidate set can only shrink
-//    (predicted-end expiry), and a later `now` only tightens the
-//    guest-must-finish-inside-every-mate constraint. The single exception
-//    is candidate-list truncation: a kept top-nm candidate expiring can
-//    pull a previously-truncated one into the explored window, so a
-//    truncated scan's failure is proven only until the earliest kept
-//    predicted end (Entry::valid_until, fed by MateSelector::last_scan()).
-//
-// Skips are decision-invisible by construction; under the SDSCHED_CROSSCHECK
-// switch (ClusterStateIndex::crosscheck()) SD-Policy re-runs the full search
-// on every claimed skip and throws on divergence — the runtime analogue of
-// the proof.
+//  * GuestScanLedger — always on, no switch: skip the mate search for a
+//    guest whose previous search failed in a provably unchanged state
+//    (same mutation_serial and planned duration, no more free nodes, and
+//    `now` before Entry::valid_until, where a truncated scan's failure
+//    lapses at the earliest kept predicted end, MateSelector::last_scan()).
+//    docs/determinism.md "Scan-ledger skip safety" has the proof; under the
+//    SDSCHED_CROSSCHECK switch (ClusterStateIndex::crosscheck()) SD-Policy
+//    re-runs the full search on every claimed skip and throws on divergence.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +35,8 @@ namespace sdsched {
 /// SD guest-consideration policy knobs (SdConfig::scan).
 struct GuestScanPolicy {
   /// Top-K head-of-queue slice: malleability-capable guests considered per
-  /// pass. 0 = unbounded (byte-identical to the pre-ledger pass).
+  /// pass. 0 = unbounded.
   int guest_budget = 0;
-
-  /// Consult the failed-select ledger before re-running a mate search.
-  /// Decision-invisible (see the proof above), so it defaults on; turning
-  /// it off only changes how much work runs, never which plans start.
-  bool ledger = true;
 };
 
 /// Per-guest record of the state in which the last mate search failed.

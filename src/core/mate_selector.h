@@ -69,7 +69,7 @@ class MateSelector {
                                                double max_slowdown, int max_free_nodes = 0,
                                                SimTime guest_runtime = 0) const;
 
-  /// Work counters (observability for `micro_scheduler --sd-pass`).
+  /// Work counters (observability; exact on any hardware).
   struct SelectStats {
     std::uint64_t selects = 0;                 ///< select() calls
     std::uint64_t candidates_scanned = 0;      ///< mates() entries walked (never full mates)

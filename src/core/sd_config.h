@@ -55,9 +55,8 @@ struct SdConfig {
 
   CutoffConfig cutoff = CutoffConfig::dynamic_avg();
 
-  /// Per-pass guest-consideration bounds for saturated queues (guest
-  /// budget + failed-select ledger). Defaults are byte-identical to the
-  /// historical unbounded pass.
+  /// Per-pass guest budget for saturated queues (the failed-select ledger
+  /// beside it is always on). The default is the unbounded pass.
   GuestScanPolicy scan;
 };
 

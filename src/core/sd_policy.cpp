@@ -148,8 +148,7 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job,
 
   // Failed-select ledger: skip the search when this guest's last failure
   // provably still stands (docs/determinism.md "Scan-ledger skip safety").
-  if (sd_config_.scan.ledger &&
-      scan_ledger_.can_skip(job.spec.id, cluster_index_->mutation_serial(), planned,
+  if (scan_ledger_.can_skip(job.spec.id, cluster_index_->mutation_serial(), planned,
                             max_free_nodes, now)) {
     if (cluster_index_->crosscheck() &&
         selector_.select(job, now, cutoff, max_free_nodes, planned)) {
@@ -166,16 +165,14 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job,
   const auto plan = selector_.select(job, now, cutoff, max_free_nodes, planned);
   if (!plan) {
     ++selection_failures_;
-    if (sd_config_.scan.ledger) {
-      GuestScanLedger::Entry entry;
-      entry.serial = cluster_index_->mutation_serial();
-      entry.planned = planned;
-      entry.max_free = max_free_nodes;
-      const MateSelector::ScanSummary& scan = selector_.last_scan();
-      entry.valid_until =
-          scan.truncated ? scan.kept_min_end : std::numeric_limits<SimTime>::max();
-      scan_ledger_.record(job.spec.id, entry);
-    }
+    GuestScanLedger::Entry entry;
+    entry.serial = cluster_index_->mutation_serial();
+    entry.planned = planned;
+    entry.max_free = max_free_nodes;
+    const MateSelector::ScanSummary& scan = selector_.last_scan();
+    entry.valid_until =
+        scan.truncated ? scan.kept_min_end : std::numeric_limits<SimTime>::max();
+    scan_ledger_.record(job.spec.id, entry);
     return false;
   }
 

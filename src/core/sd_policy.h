@@ -84,7 +84,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   /// Guests turned away by an exhausted per-pass budget.
   [[nodiscard]] std::uint64_t budget_deferrals() const noexcept { return budget_deferrals_; }
 
-  /// Mate-selection work counters (micro_scheduler --sd-pass).
+  /// Mate-selection work counters.
   [[nodiscard]] const MateSelector::SelectStats& selector_stats() const noexcept {
     return selector_.stats();
   }

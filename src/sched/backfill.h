@@ -81,7 +81,7 @@ class BackfillScheduler : public Scheduler {
   [[nodiscard]] std::uint64_t cancelled_jobs() const noexcept { return cancelled_; }
 
   /// Base-snapshot refreshes skipped because the cluster was unchanged
-  /// since the previous pass (observability for the microbench).
+  /// since the previous pass (observability).
   [[nodiscard]] std::uint64_t profile_reuses() const noexcept { return profile_reuses_; }
   [[nodiscard]] std::uint64_t profile_rebuilds() const noexcept { return profile_rebuilds_; }
 
@@ -91,11 +91,6 @@ class BackfillScheduler : public Scheduler {
   /// Per-class profile layers assembled for constrained jobs (observability).
   [[nodiscard]] std::uint64_t class_layer_builds() const noexcept {
     return class_layer_builds_;
-  }
-
-  /// Breakpoints currently held by the pass profile (bench observability).
-  [[nodiscard]] std::size_t profile_breakpoints() const noexcept {
-    return profile_.breakpoint_count();
   }
 
  protected:

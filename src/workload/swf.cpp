@@ -87,6 +87,7 @@ Workload read_swf_reference(std::istream& in, const SwfReadOptions& options) {
       throw std::runtime_error("SWF line " + std::to_string(line_number) +
                                ": expected >=11 fields, got " + std::to_string(parsed));
     }
+    check_swf_row(line_number, f);
 
     const long long status = f[10];
     if (options.skip_failed && status == kStatusFailed) continue;

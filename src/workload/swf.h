@@ -26,8 +26,12 @@ struct SwfReadOptions {
   MalleabilityClass default_malleability = MalleabilityClass::Malleable;
 };
 
+/// Largest |submit|, |run time| or |requested time| a reader accepts: 2^32 s
+/// (136 years) is beyond any archive, and sums of such times fit SimTime.
+inline constexpr long long kSwfMaxSeconds = 1LL << 32;
+
 /// Parse SWF text. Recognizes `; MaxNodes:` and `; MaxProcs:` headers.
-/// Throws std::runtime_error on malformed numeric fields.
+/// Throws std::runtime_error on malformed or out-of-range fields (check_swf_row).
 ///
 /// Implemented on the chunked streaming reader (workload/swf_stream.h):
 /// fixed-size buffer refills and in-buffer field scanning, no per-row

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <climits>
 #include <cstring>
 #include <istream>
 #include <stdexcept>
@@ -91,6 +92,19 @@ bool parse_header(std::string_view line, std::string_view key, long long& out) {
 }
 
 }  // namespace
+
+void check_swf_row(std::uint64_t line, const std::array<long long, 18>& fields) {
+  static constexpr std::pair<std::size_t, const char*> kColumns[] = {
+      {1, "submit time"}, {3, "run time"}, {8, "requested time"},
+      {4, "allocated processors"}, {7, "requested processors"}};
+  for (const auto& [column, what] : kColumns) {
+    const long long limit = column == 4 || column == 7 ? INT_MAX : kSwfMaxSeconds;
+    if (const long long value = fields[column]; value > limit || value < -limit) {
+      throw std::runtime_error("SWF line " + std::to_string(line) + ": " + what + " " +
+                               std::to_string(value) + " is beyond +/-" + std::to_string(limit));
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // SwfChunkReader
@@ -210,6 +224,7 @@ bool SwfJobStream::next(JobSpec& spec) {
       throw std::runtime_error("SWF line " + std::to_string(stats_.lines) +
                                ": expected >=11 fields, got " + std::to_string(parsed));
     }
+    check_swf_row(stats_.lines, fields);
 
     const long long status = fields[10];
     if (options_.skip_failed && status == kStatusFailed) {

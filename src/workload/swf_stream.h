@@ -33,6 +33,7 @@
 // ("Streaming ingestion").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -61,6 +62,10 @@ struct SwfStreamStats {
   std::uint64_t same_second_submits = 0;  ///< rows sharing the previous row's second
   std::uint64_t max_submit_burst = 1;     ///< largest adjacent same-second group
 };
+
+/// Both readers' row check: throws std::runtime_error("SWF line N: ...") for
+/// a time beyond kSwfMaxSeconds or a processor count beyond int.
+void check_swf_row(std::uint64_t line, const std::array<long long, 18>& fields);
 
 /// Chunked line scanner. Not SWF-specific beyond living here: reads
 /// `chunk_bytes` at a time, yields `\n`-terminated (or final unterminated)

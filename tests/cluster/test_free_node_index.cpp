@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "../bench_scenes.h"
 #include "cluster/cluster_state_index.h"
 #include "drom/node_manager.h"
 
@@ -306,6 +308,32 @@ TEST(FreeNodeIndexProperty, ChurnParityFiftyThousandNodes) {
   // flips still sweeps the summary invariant.
   churn_parity(/*node_count=*/50000, /*steps=*/2000, /*probe_every=*/250,
                0x9e3779b97f4a7c15ULL);
+}
+
+// The 50K-node free-pick scene (tests/bench_scenes.h; 50000 is not a
+// multiple of 64, so the last word's dead bits are in play): 400 picks
+// cycling through the 16 shapes, each byte-identical to the machine scan
+// and each answered from the bitmap through the seam schedulers use. The
+// words a pick reads are exact on any hardware. The summary level lets a
+// far-off or failing pick skip 64 empty words per summary bit, so no pick
+// reads an eighth of the 782 words a linear walk would, and the total is
+// pinned: a change that moves it must say why.
+TEST(FreePick, FiftyThousandNodesMatchMachineScanReadingFewWords) {
+  const testing_support::FreePickScene scene(50000);
+  constexpr std::uint64_t kWords = (50000 + 63) / 64;
+  std::uint64_t total = 0;
+  for (int p = 0; p < 400; ++p) {
+    const auto& shape = scene.shapes[static_cast<std::size_t>(p) % scene.shapes.size()];
+    const std::uint64_t before = scene.index.free_words_read();
+    const auto got = scene.index.find_free_nodes(shape.count, shape.constraints);
+    const std::uint64_t read = scene.index.free_words_read() - before;
+    ASSERT_EQ(got, scene.machine.find_free_nodes(shape.count, shape.constraints))
+        << "pick " << p;
+    ASSERT_GE(read, 1u) << "pick " << p << " was not answered from the bitmap";
+    ASSERT_LT(read, kWords / 8) << "pick " << p << " walked the bitmap word by word";
+    total += read;
+  }
+  EXPECT_EQ(total, 2925u);
 }
 
 }  // namespace

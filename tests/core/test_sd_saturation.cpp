@@ -1,33 +1,36 @@
-// Saturation parity suite for the queue-depth-sublinear SD pass
+// Saturation suite for the queue-depth-sublinear SD pass
 // (core/guest_scan_policy.h): under over-subscribed workloads (offered load
 // > 1, the regime where the wait queue grows without bound) the guest
 // budget and the failed-select scan ledger must be *decision-invisible* —
 // they bound how much work a pass runs, never which plans start.
 //
-// Three contracts, each checked over full end-to-end Simulations on
-// randomized Cirne churn (several seeds, load > 1):
+// Three contracts over full end-to-end Simulations on randomized Cirne
+// churn (several seeds, load > 1), plus the exact work of one saturated
+// pass:
 //
-//  (a) ledger ON is byte-identical to ledger OFF (the pre-ledger pass) at
-//      every budget, while actually skipping re-scans;
+//  (a) the ledger hides no plan: under the SDSCHED_CROSSCHECK switch every
+//      claimed-safe skip re-runs the full mate search inside the pass and
+//      throws std::logic_error if that search finds a plan, so a clean run
+//      with skips firing decides exactly what a run without the ledger
+//      would (each skip stands in for a search that fails), and the
+//      recheck itself decides nothing, so the same holds with it off;
 //  (b) a budget at least the queue depth is byte-identical to unbounded,
 //      and a tight budget still drains the workload (deferred guests are
 //      reconsidered on later passes);
-//  (c) the SDSCHED_CROSSCHECK switch — which brute-force re-runs the full
-//      unbounded mate search on every claimed-safe skip and throws
-//      std::logic_error if the "provably unchanged" state found a plan
-//      after all — passes clean.
-//      This is the "ledger never skips a guest whose mate set changed"
-//      recheck, executed inside the production pass itself.
+//  (c) on the saturated 5040-node scene (tests/bench_scenes.h) the pass's
+//      work counters are the values the budget implies, identical at queue
+//      depths 1000 and 4000.
 //
-// Identity is asserted on a decision document: the full metrics summary,
-// the FNV-1a digest of every per-job record, and the decision-relevant
-// counters. sd_rescans_avoided is deliberately excluded — it is the one
-// counter that *should* differ between ledger ON and OFF.
+// Identity in (b) is asserted on a decision document: the full metrics
+// summary, the FNV-1a digest of every per-job record, and the
+// decision-relevant counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "../bench_scenes.h"
 #include "../integration/golden_common.h"
 #include "../scoped_env.h"
 #include "api/experiment.h"
@@ -35,6 +38,7 @@
 #include "cluster/cluster_state_index.h"
 #include "cluster/machine.h"
 #include "core/guest_scan_policy.h"
+#include "core/sd_policy.h"
 #include "job/job_registry.h"
 #include "metrics/summary.h"
 #include "util/json.h"
@@ -72,9 +76,9 @@ SimulationConfig saturated_config(const GuestScanPolicy& scan) {
 
 /// Everything a scheduling decision can influence, in one byte-comparable
 /// string. sd_selection_failures is included on purpose: ledger skips are
-/// counted as selection failures too, so the totals must match an
-/// unbounded run's — a drift here means a skip replaced a *successful*
-/// search, the exact bug class the ledger proof rules out.
+/// counted as selection failures too, so two runs that decide alike
+/// report equal totals. sd_rescans_avoided is left out: it counts work
+/// saved, not a decision.
 std::string decision_document(const SimulationReport& report) {
   JsonWriter json;
   json.begin_object();
@@ -95,30 +99,55 @@ SimulationReport run_cell(std::uint64_t seed, const GuestScanPolicy& scan) {
   return Simulation(saturated_config(scan), saturated_workload(seed)).run();
 }
 
-// (a) The ledger changes how much work runs, never which plans start:
-// byte-identical decisions at every (seed, budget) pair, with real skips.
+/// Asserts that indexes built from here on read SDSCHED_CROSSCHECK as on,
+/// the Simulation's included: without it a crosschecked run is vacuous.
+void expect_crosscheck_switch_on() {
+  Machine machine(saturated_machine());
+  const JobRegistry jobs;
+  ASSERT_TRUE(ClusterStateIndex(machine, jobs).crosscheck());
+}
+
+// (a) The ledger changes how much work runs, never which plans start: at
+// every (seed, budget) pair each skip is re-proven by the full search.
 TEST(SdSaturation, LedgerIsDecisionInvisible) {
+  const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
+  ASSERT_NO_FATAL_FAILURE(expect_crosscheck_switch_on());
   std::uint64_t total_rescans_avoided = 0;
   for (const std::uint64_t seed : {11u, 23u, 47u}) {
     for (const int budget : {0, 6}) {
-      GuestScanPolicy off;
-      off.guest_budget = budget;
-      off.ledger = false;
-      GuestScanPolicy on;
-      on.guest_budget = budget;
-      on.ledger = true;
-
-      const SimulationReport without = run_cell(seed, off);
-      const SimulationReport with = run_cell(seed, on);
-      EXPECT_EQ(without.sd_rescans_avoided, 0u);
-      total_rescans_avoided += with.sd_rescans_avoided;
-      EXPECT_EQ(decision_document(without), decision_document(with))
-          << "scan ledger changed decisions at seed " << seed << " budget " << budget;
+      GuestScanPolicy scan;
+      scan.guest_budget = budget;
+      SimulationReport report;
+      ASSERT_NO_THROW(report = run_cell(seed, scan))
+          << "crosscheck refuted a ledger skip at seed " << seed << " budget " << budget;
+      total_rescans_avoided += report.sd_rescans_avoided;
     }
   }
-  // The parity above is vacuous unless the ledger actually fired.
+  // The recheck is vacuous unless the ledger actually fired.
   EXPECT_GT(total_rescans_avoided, 0u)
       << "saturated churn never produced a provably-unchanged re-scan";
+}
+
+// (a) The recheck carries over to runs without the switch only if it
+// decides nothing itself: a crosschecked run, with skips firing at every
+// seed, must match the same run with the switch off byte for byte.
+TEST(SdSaturation, CrosscheckValidatesEverySkip) {
+  for (const std::uint64_t seed : {11u, 47u}) {
+    SimulationReport plain;
+    {
+      const testing_support::ScopedEnv off("SDSCHED_CROSSCHECK", std::nullopt);
+      plain = run_cell(seed, GuestScanPolicy{});
+    }
+    const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
+    ASSERT_NO_FATAL_FAILURE(expect_crosscheck_switch_on());
+    SimulationReport checked;
+    ASSERT_NO_THROW(checked = run_cell(seed, GuestScanPolicy{}))
+        << "crosscheck refuted a ledger skip at seed " << seed;
+    EXPECT_GT(checked.sd_rescans_avoided, 0u)
+        << "crosscheck run exercised no skips at seed " << seed << ": the recheck was vacuous";
+    EXPECT_EQ(decision_document(plain), decision_document(checked))
+        << "the crosscheck changed decisions at seed " << seed;
+  }
 }
 
 // (b) A budget >= the deepest possible queue is the unbounded pass; a
@@ -154,28 +183,31 @@ TEST(SdSaturation, TightBudgetDefersButDrains) {
   }
 }
 
-// (c) Brute-force recheck: the crosscheck switch re-runs the full mate
-// search on every claimed-safe skip inside the pass and throws
-// std::logic_error when a skip would have hidden a plan. A clean saturated
-// run with skips firing IS the exhaustive "no guest with a changed mate set
-// was skipped" check.
-TEST(SdSaturation, CrosscheckValidatesEverySkip) {
-  const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
-  {
-    // Every index built under the guard reads the switch, the Simulation's
-    // included: without it the recheck below would be vacuous.
-    Machine machine(saturated_machine());
-    const JobRegistry jobs;
-    ASSERT_TRUE(ClusterStateIndex(machine, jobs).crosscheck());
-  }
-  for (const std::uint64_t seed : {11u, 47u}) {
-    GuestScanPolicy scan;
-    scan.ledger = true;
-    SimulationReport report;
-    ASSERT_NO_THROW(report = run_cell(seed, scan))
-        << "crosscheck refuted a ledger skip at seed " << seed;
-    EXPECT_GT(report.sd_rescans_avoided, 0u)
-        << "crosscheck run exercised no skips — the recheck was vacuous";
+// (c) bf_max_jobs (1000) caps the guests a pass walks and the budget (64)
+// how many of them reach a mate search or a ledger skip. Pass 1 searches 64
+// guests and each search fails; nothing mutates, so passes 2-4 skip the
+// same 64 through the ledger; the other 936 walked guests are deferred on
+// every pass. Each search walks every listed mate once. None of this may
+// depend on how deep the queue behind the walked prefix is.
+TEST(SdSaturation, SaturatedPassCountersFollowTheBudget) {
+  using testing_support::SaturatedSdScene;
+  constexpr std::uint64_t kPasses = 4;
+  constexpr std::uint64_t kBudget = SaturatedSdScene::kGuestBudget;
+  constexpr std::uint64_t kWalked = SchedConfig{}.bf_max_jobs;
+  constexpr std::uint64_t kMates = SaturatedSdScene::kNodes / 2;
+  for (const int depth : {1000, 4000}) {
+    SaturatedSdScene scene(depth);
+    scene.run_passes(static_cast<int>(kPasses));
+    // Under SDSCHED_CROSSCHECK every skip also re-runs its search.
+    const std::uint64_t searches = scene.index.crosscheck() ? kBudget * kPasses : kBudget;
+    const SdPolicyScheduler& sd = *scene.scheduler;
+    EXPECT_EQ(sd.selector_stats().selects, searches) << "depth " << depth;
+    EXPECT_EQ(sd.selector_stats().candidates_scanned, searches * kMates) << "depth " << depth;
+    EXPECT_EQ(sd.selector_stats().plans_found, 0u) << "depth " << depth;
+    EXPECT_EQ(sd.estimate_rejections(), 0u) << "depth " << depth;
+    EXPECT_EQ(sd.selection_failures(), kBudget * kPasses) << "depth " << depth;
+    EXPECT_EQ(sd.rescans_avoided(), kBudget * (kPasses - 1)) << "depth " << depth;
+    EXPECT_EQ(sd.budget_deferrals(), (kWalked - kBudget) * kPasses) << "depth " << depth;
   }
 }
 

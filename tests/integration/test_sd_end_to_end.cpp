@@ -3,7 +3,12 @@
 // path of §4.3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "../scoped_env.h"
+#include "api/experiment.h"
 #include "api/simulation.h"
+#include "workload/cirne.h"
 
 namespace sdsched {
 namespace {
@@ -201,6 +206,53 @@ TEST(SdEndToEnd, AppModelRealRunImprovesEnergy) {
   SimulationReport b = Simulation(bf_cfg, w).run();
   EXPECT_LE(a.summary.makespan, static_cast<SimTime>(b.summary.makespan * 1.05));
   EXPECT_LE(a.summary.avg_slowdown, b.summary.avg_slowdown * 1.05);
+}
+
+// A whole saturated SD run at max_jobs_per_node = 3, under the crosscheck
+// switch. The workload is sized for 8-core nodes but runs on 16-core ones,
+// so every job leaves idle cores beside it: a guest can take them without
+// filling its mate, which then stays listed in mates() and can be picked
+// again while it hosts that guest. Each such pick reads budgets cached
+// before the first guest arrived unless the mate's occupancy stamp moved,
+// and the crosscheck re-fills every budget-cache hit and throws on a stale
+// one. The run must show at least one such second pick: two guests that
+// overlap in time and share a mate.
+TEST(SdPolicyCapThree, ListedMatesHostingGuestsCrosscheckClean) {
+  const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
+  CirneConfig wl;
+  wl.n_jobs = 300;
+  wl.system_nodes = 32;
+  wl.cores_per_node = 8;
+  wl.max_job_nodes = 8;
+  wl.target_load = 1.4;
+  wl.seed = 1;
+  MachineConfig machine;
+  machine.nodes = 32;
+  machine.node = NodeConfig{2, 8};
+  SimulationConfig cfg = sd_config(machine, CutoffConfig::dynamic_avg());
+  cfg.sd.max_jobs_per_node = 3;
+  Simulation sim(cfg, generate_cirne(wl));
+  SimulationReport report;
+  ASSERT_NO_THROW(report = sim.run());
+  EXPECT_EQ(report.records.size(), 300u);
+
+  // A finishing guest keeps its own mates list, so each pair of overlapping
+  // guests that still names a common mate was stacked on it.
+  int stacked = 0;
+  const JobRegistry& jobs = sim.jobs();
+  for (const Job& later : jobs) {
+    if (!later.started_as_guest) continue;
+    for (const Job& earlier : jobs) {
+      if (&earlier == &later || !earlier.started_as_guest) continue;
+      if (earlier.start_time > later.start_time || later.start_time >= earlier.end_time) {
+        continue;
+      }
+      for (const JobId mate : later.mates) {
+        stacked += static_cast<int>(std::count(earlier.mates.begin(), earlier.mates.end(), mate));
+      }
+    }
+  }
+  EXPECT_GT(stacked, 0) << "no mate took a second guest while hosting one";
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sdsched {
 namespace {
@@ -107,6 +110,39 @@ TEST(Swf, MaxJobsTruncates) {
 TEST(Swf, MalformedLineThrows) {
   std::istringstream in("1 2 3\n");
   EXPECT_THROW(read_swf(in), std::runtime_error);
+}
+
+// tests/data/hostile/: time fields past kSwfMaxSeconds (whose sums would
+// overflow SimTime downstream) and processor counts outside int. Both
+// readers reject each file with the same message naming line and field.
+TEST(Swf, HostileFieldsThrowInBothReaders) {
+  const std::string dir = std::string(SDSCHED_TESTS_DIR) + "/data/hostile/";
+  const std::pair<const char*, const char*> cases[] = {
+      {"huge_submit.swf",
+       "SWF line 2: submit time 9223372036854775000 is beyond +/-4294967296"},
+      {"huge_run_time.swf", "SWF line 2: run time 4294967297 is beyond +/-4294967296"},
+      {"huge_requested_time.swf",
+       "SWF line 3: requested time 9223372036854775000 is beyond +/-4294967296"},
+      {"huge_processors.swf",
+       "SWF line 2: requested processors 4294967296 is beyond +/-2147483647"},
+      {"negative_processors.swf",
+       "SWF line 2: allocated processors -9999999999 is beyond +/-2147483647"},
+  };
+  for (const auto& [file, message] : cases) {
+    const auto message_of = [&](auto read) {
+      std::ifstream in(dir + file);
+      EXPECT_TRUE(in.good()) << file;
+      try {
+        (void)read(in);
+      } catch (const std::runtime_error& e) {
+        return std::string(e.what());
+      }
+      return std::string("no exception");
+    };
+    EXPECT_EQ(message_of([](std::istream& in) { return read_swf(in); }), message) << file;
+    EXPECT_EQ(message_of([](std::istream& in) { return read_swf_reference(in); }), message)
+        << file;
+  }
 }
 
 TEST(Swf, RoundTripPreservesJobs) {
