@@ -16,9 +16,16 @@
 //    eligible_mate (weight, remaining allocation) stay at query time because
 //    they depend on the guest or on `now`.
 //
+// Beside mates() it keeps a histogram of the listed mates by node count
+// (`shares.size()`, the weight w_i that Eq. 3 sums) and the ascending list
+// of the weights present. can_sum_to() answers from them whether any
+// combination of listed mates could satisfy Eq. 3 at all, so MateSelector
+// rejects a hopeless search before it scans a single candidate.
+//
 // Decision parity with the full scan is the contract; check_consistent()
-// re-derives both sets by brute force (SdPolicyScheduler runs it on every
-// pass under the SDSCHED_CROSSCHECK switch, as the asan test preset does).
+// re-derives both sets and the histogram by brute force (SdPolicyScheduler
+// runs it on every pass under the SDSCHED_CROSSCHECK switch, as the asan
+// test preset does).
 #pragma once
 
 #include <cstdint>
@@ -54,8 +61,14 @@ class MateRegistry {
   /// Ascending ids of running jobs that can take a guest.
   [[nodiscard]] const std::vector<JobId>& mates() const noexcept { return mates_; }
 
-  /// Re-derive both sets from `jobs` and compare. On mismatch returns false
-  /// and, if given, fills `diagnosis`.
+  /// True when at most `max_mates` distinct listed mates have node counts
+  /// summing to exactly `weight` (Eq. 3 over mates(), before any guest- or
+  /// time-dependent filter). False means no mate plan for that weight
+  /// exists. Walks only the distinct weights present, largest first.
+  [[nodiscard]] bool can_sum_to(int weight, int max_mates) const;
+
+  /// Re-derive both sets and the weight histogram from `jobs` and compare.
+  /// On mismatch returns false and, if given, fills `diagnosis`.
   [[nodiscard]] bool check_consistent(const JobRegistry& jobs,
                                       std::string* diagnosis = nullptr) const;
 
@@ -64,10 +77,21 @@ class MateRegistry {
   [[nodiscard]] bool is_mate(const Job& job) const noexcept;
   /// Bring `job`'s membership in mates() in line with is_mate().
   void sync_mate(const Job& job);
+  /// Insert into / erase from mates(), keeping the histogram in step.
+  void list_mate(const Job& job);
+  void unlist_mate(JobId id);
+  void count_weight(int weight, int delta);
+  /// can_sum_to over the distinct weights below index `end` of weights_.
+  [[nodiscard]] bool reachable(int weight, int max_mates, std::size_t end) const;
 
   int max_jobs_per_node_;
   std::vector<JobId> running_;
   std::vector<JobId> mates_;
+  /// mate_weights_[i] is mates_[i]'s node count when it was listed (a
+  /// finished job's shares are already gone when on_finish unlists it).
+  std::vector<int> mate_weights_;
+  std::vector<int> weight_count_;  ///< listed mates per node count
+  std::vector<int> weights_;       ///< ascending node counts with a nonzero count
 };
 
 }  // namespace sdsched

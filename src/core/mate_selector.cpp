@@ -296,6 +296,50 @@ std::optional<MatePlan> MateSelector::select(const Job& guest, SimTime now,
   const int total_nodes = guest.spec.req_nodes;
   if (total_nodes <= 0) return std::nullopt;
   if (guest_runtime <= 0) guest_runtime = guest.spec.req_time;
+  const int max_free =
+      config_.include_free_nodes ? std::min(max_free_nodes, total_nodes - 1) : 0;
+
+  // Eq. 3 is an equality on node counts and every candidate is a listed
+  // mate: when no W - f target is a sum of at most `m` listed weights, the
+  // DFS below can never reach a leaf (docs/determinism.md "Weight-rejection
+  // safety"). The untruncated last_scan_ lets the ledger keep the failure
+  // until the registry changes.
+  bool reachable = false;
+  for (int free_used = max_free; free_used >= 0 && !reachable; --free_used) {
+    reachable = registry_.can_sum_to(total_nodes - free_used, config_.max_mates);
+  }
+  if (!reachable) {
+    ++stats_.weight_rejections;
+    if (index_->crosscheck()) {
+      verify_weight_rejection(guest, now, max_slowdown, max_free, guest_runtime);
+    }
+    return std::nullopt;
+  }
+
+  auto best = search(guest, now, max_slowdown, max_free, guest_runtime);
+  if (best) ++stats_.plans_found;
+  return best;
+}
+
+void MateSelector::verify_weight_rejection(const Job& guest, SimTime now,
+                                           double max_slowdown, int max_free,
+                                           SimTime guest_runtime) const {
+  // The re-run is not counted and leaves the rejection's scan summary.
+  const SelectStats stats = stats_;
+  const bool found = search(guest, now, max_slowdown, max_free, guest_runtime).has_value();
+  stats_ = stats;
+  last_scan_ = ScanSummary{};
+  if (found) {
+    throw std::logic_error(
+        "MateSelector weight rejection diverged from the full mate search: job " +
+        std::to_string(guest.spec.id) + " at t=" + std::to_string(now) + " has a plan");
+  }
+}
+
+std::optional<MatePlan> MateSelector::search(const Job& guest, SimTime now,
+                                             double max_slowdown, int max_free,
+                                             SimTime guest_runtime) const {
+  const int total_nodes = guest.spec.req_nodes;
   const auto candidates = collect_candidates(guest, now, max_slowdown, guest_runtime);
   if (candidates.empty()) return std::nullopt;  // plans always involve >=1 mate
 
@@ -331,8 +375,6 @@ std::optional<MatePlan> MateSelector::select(const Job& guest, SimTime now,
   // Prefer plans that lean on free nodes (zero penalty); then fill the
   // remaining weight with mate combinations, best-penalty-first DFS with
   // branch-and-bound on the (sorted) penalty lower bound.
-  const int max_free =
-      config_.include_free_nodes ? std::min(max_free_nodes, total_nodes - 1) : 0;
   FreePrefix prefix;
   for (int free_used = max_free; free_used >= 0; --free_used) {
     const int target = total_nodes - free_used;
@@ -392,7 +434,6 @@ std::optional<MatePlan> MateSelector::select(const Job& guest, SimTime now,
     };
     dfs(dfs, 0, target, config_.max_mates, 0.0);
   }
-  if (best) ++stats_.plans_found;
   return best;
 }
 

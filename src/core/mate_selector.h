@@ -18,12 +18,17 @@
 // truncated to `nm`; combinations of up to `m` mates are enumerated
 // depth-first with branch-and-bound pruning on the penalty lower bound.
 //
-// Cost model: candidate collection walks only the MateRegistry's mates(),
-// which leaves out full mates (the SdPolicyScheduler owns the registry),
-// and free-node picks go through the ClusterStateIndex's class-partitioned
-// bitmap. Loop invariants of the DFS (the guest's balanced split and the
-// free-node prefix of a plan) are resolved once per select() / per
-// free_used value, never per evaluated combination.
+// Cost model: a select first asks the MateRegistry's weight histogram
+// whether any W - f target (f up to the free-node allowance) is a sum of at
+// most `m` listed mates' node counts; when none is, it returns without
+// scanning a candidate (SelectStats::weight_rejections), which is most
+// selects on a machine of uniform-width mates. Otherwise candidate
+// collection walks only the registry's mates(), which leaves out full mates
+// (the SdPolicyScheduler owns the registry), and free-node picks go through
+// the ClusterStateIndex's class-partitioned bitmap. Loop invariants of the
+// DFS (the guest's balanced split and the free-node prefix of a plan) are
+// resolved once per select() / per free_used value, never per evaluated
+// combination.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +80,7 @@ class MateSelector {
     std::uint64_t candidates_scanned = 0;      ///< mates() entries walked (never full mates)
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
+    std::uint64_t weight_rejections = 0;       ///< selects no listed weights could satisfy
     std::uint64_t budget_refills = 0;          ///< node-budget fills (cache misses)
   };
   [[nodiscard]] const SelectStats& stats() const noexcept { return stats_; }
@@ -136,6 +142,15 @@ class MateSelector {
     double guest_rate = 1e300;  ///< min over free nodes of granted/needed
   };
 
+  /// The candidate scan and DFS behind select(), for a free-node allowance
+  /// already capped to `max_free`.
+  [[nodiscard]] std::optional<MatePlan> search(const Job& guest, SimTime now,
+                                               double max_slowdown, int max_free,
+                                               SimTime guest_runtime) const;
+  /// Crosscheck of a weight rejection: runs search() uncounted and throws
+  /// std::logic_error naming the guest and `now` if it finds a plan.
+  void verify_weight_rejection(const Job& guest, SimTime now, double max_slowdown,
+                               int max_free, SimTime guest_runtime) const;
   [[nodiscard]] std::vector<Candidate> collect_candidates(const Job& guest, SimTime now,
                                                           double max_slowdown,
                                                           SimTime guest_runtime) const;

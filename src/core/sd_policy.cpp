@@ -1,6 +1,7 @@
 #include "core/sd_policy.h"
 
 #include <algorithm>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -85,7 +86,9 @@ double SdPolicyScheduler::pass_cutoff(SimTime now) {
         compute_cutoff(sd_config_.cutoff, jobs_, mate_registry_.running(), now);
     if (fresh != cutoff_value_) {
       std::ostringstream oss;
-      oss << "SD cutoff cache diverged from a fresh computation: cached " << cutoff_value_
+      // Round-trip digits: a real divergence can sit far past the 6th.
+      oss << std::setprecision(std::numeric_limits<double>::max_digits10)
+          << "SD cutoff cache diverged from a fresh computation: cached " << cutoff_value_
           << ", fresh " << fresh << " at t=" << now;
       throw std::logic_error(oss.str());
     }

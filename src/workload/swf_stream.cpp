@@ -28,12 +28,30 @@ constexpr bool is_field_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' || c == '\n';
 }
 
+/// Read the digit run at `p` (the sign already consumed) into `out`.
+/// Returns false, leaving `out` alone, when the value is outside long long:
+/// there integer extraction and std::stoll fail too.
+bool parse_digits(const char*& p, const char* end, bool negative, long long& out) {
+  const unsigned long long limit =
+      static_cast<unsigned long long>(LLONG_MAX) + (negative ? 1 : 0);
+  unsigned long long value = 0;
+  while (p < end && *p >= '0' && *p <= '9') {
+    const auto digit = static_cast<unsigned long long>(*p - '0');
+    if (value > (limit - digit) / 10) return false;
+    value = value * 10 + digit;
+    ++p;
+  }
+  // 0 - value wraps modulo 2^64, so LLONG_MIN's magnitude converts exactly.
+  out = static_cast<long long>(negative ? 0 - value : value);
+  return true;
+}
+
 /// In-buffer scan of up to 18 whitespace-separated integer fields —
 /// the zero-allocation equivalent of the reference reader's per-row
 /// `istringstream >> long long` loop, with identical stop semantics: a
-/// field that does not start with an optionally-signed digit ends the scan
-/// (so "12x" parses 12 and stops at the 'x' exactly like extraction did).
-/// Unparsed trailing fields stay 0.
+/// field that does not start with an optionally-signed digit, or whose
+/// value is outside long long, ends the scan (so "12x" parses 12 and stops
+/// at the 'x' exactly like extraction did). Unparsed trailing fields stay 0.
 int scan_fields(std::string_view line, std::array<long long, 18>& fields) {
   const char* p = line.data();
   const char* const end = p + line.size();
@@ -42,32 +60,20 @@ int scan_fields(std::string_view line, std::array<long long, 18>& fields) {
     while (p < end && is_field_space(*p)) ++p;
     if (p == end) break;
     bool negative = false;
-    const char* const field_start = p;
     if (*p == '+' || *p == '-') {
       negative = (*p == '-');
       ++p;
     }
-    if (p == end || *p < '0' || *p > '9') {
-      p = field_start;  // extraction failure: nothing consumed
-      break;
-    }
-    // Unsigned accumulation: an absurdly long digit run wraps instead of
-    // tripping signed-overflow UB (SWF fields are epoch seconds and core
-    // counts — far inside 64 bits for any real log).
-    unsigned long long value = 0;
-    while (p < end && *p >= '0' && *p <= '9') {
-      value = value * 10 + static_cast<unsigned long long>(*p - '0');
-      ++p;
-    }
-    fields[static_cast<std::size_t>(parsed)] =
-        negative ? -static_cast<long long>(value) : static_cast<long long>(value);
+    if (p == end || *p < '0' || *p > '9') break;
+    if (!parse_digits(p, end, negative, fields[static_cast<std::size_t>(parsed)])) break;
   }
   return parsed;
 }
 
 /// Parse one numeric header like "; MaxNodes: 1024" — the string_view
 /// equivalent of the reference reader's find + stoll (whitespace and sign
-/// allowed after the colon; anything after the digits is ignored).
+/// allowed after the colon; anything after the digits is ignored; a value
+/// outside long long is no header).
 bool parse_header(std::string_view line, std::string_view key, long long& out) {
   const auto pos = line.find(key);
   if (pos == std::string_view::npos) return false;
@@ -82,13 +88,7 @@ bool parse_header(std::string_view line, std::string_view key, long long& out) {
     ++p;
   }
   if (p == end || *p < '0' || *p > '9') return false;
-  unsigned long long value = 0;
-  while (p < end && *p >= '0' && *p <= '9') {
-    value = value * 10 + static_cast<unsigned long long>(*p - '0');
-    ++p;
-  }
-  out = negative ? -static_cast<long long>(value) : static_cast<long long>(value);
-  return true;
+  return parse_digits(p, end, negative, out);
 }
 
 }  // namespace

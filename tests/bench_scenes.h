@@ -3,10 +3,15 @@
 //
 //  * SaturatedSdScene — a full Curie-sized machine (5040 nodes x 16 cores)
 //    of 2-node running mates in 16 release waves, and `depth` pending
-//    3-node malleable guests. Nothing can start statically, and Eq. 3
-//    (mate node counts summing to the guest's 3 nodes, at most 2 mates)
-//    has no solution, so every considered guest ends in a failed mate
-//    search or a ledger skip: the saturated steady state of a deep queue.
+//    malleable guests of `guest_nodes` nodes (3 by default). Nothing can
+//    start statically, and no mate search finds a plan, so every considered
+//    guest ends in a failed search or a ledger skip: the saturated steady
+//    state of a deep queue. At 3 nodes Eq. 3 (mate node counts summing to
+//    the guest's, at most 2 mates) has no solution, so each search is a
+//    weight rejection that scans no candidate. At 4 nodes two mates do sum
+//    to W, so each search scans every mate, and each one fails Eq. 2: all
+//    running jobs sit at slowdown 1, so DynAVGSD's cut-off is 1 and any
+//    shrink penalty exceeds it.
 //  * FreePickScene — a machine filled lowest-first with 8-node jobs, a
 //    deterministic pseudo-random half of them completed, and the low ids a
 //    fixed-size highmem region, plus the cycle of pick shapes (count x
@@ -53,7 +58,7 @@ struct SaturatedSdScene {
   static constexpr int kGuestBudget = 64;
 
   /// Default SchedConfig (bf_max_jobs 1000), DynAVGSD, guest budget 64.
-  explicit SaturatedSdScene(int depth)
+  explicit SaturatedSdScene(int depth, int guest_nodes = 3)
       : machine(curie_shaped(kNodes)), mgr(machine, jobs, drom), index(machine, jobs) {
     const int cores = machine.cores_per_node();
     for (int i = 0; i < kNodes / 2; ++i) {
@@ -68,7 +73,9 @@ struct SaturatedSdScene {
     sd.scan.guest_budget = kGuestBudget;
     scheduler.emplace(machine, jobs, executor, SchedConfig{}, sd);
     scheduler->set_cluster_index(&index);
-    for (int q = 0; q < depth; ++q) scheduler->on_submit(add_whole_node_job(jobs, cores, 3, 600));
+    for (int q = 0; q < depth; ++q) {
+      scheduler->on_submit(add_whole_node_job(jobs, cores, guest_nodes, 600));
+    }
   }
 
   /// Passes at t = 1, 2, ..., `passes`.

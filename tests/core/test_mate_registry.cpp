@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <optional>
 
@@ -86,6 +88,121 @@ TEST(MateRegistry, CheckConsistentCatchesAMissedStart) {
   std::string diag;
   EXPECT_FALSE(registry.check_consistent(jobs, &diag));
   EXPECT_FALSE(diag.empty());
+}
+
+/// Running malleable job holding `weight` (placeholder) node shares, listed
+/// the way the scheduler's start hook lists it: after its placement.
+JobId start_weighted(JobRegistry& jobs, MateRegistry& registry, int weight) {
+  const JobId id = jobs.add(spec_of(0, 100, weight, 48));
+  Job& job = jobs.at(id);
+  job.state = JobState::Running;
+  for (int node = 0; node < weight; ++node) job.shares.push_back(NodeShare{node, 48, 48});
+  registry.on_start(job, jobs);
+  return id;
+}
+
+TEST(MateRegistry, CheckConsistentCatchesAStaleWeight) {
+  JobRegistry jobs;
+  MateRegistry registry(kDefaultCap);
+  const JobId a = start_weighted(jobs, registry, 2);
+  start_weighted(jobs, registry, 3);
+  std::string diag;
+  EXPECT_TRUE(registry.check_consistent(jobs, &diag)) << diag;
+  EXPECT_TRUE(registry.can_sum_to(5, 2));
+
+  // A change the registry never hears of: `a` now holds 4 nodes, so the
+  // histogram still files it under 2 while the job scan counts it under 4.
+  jobs.at(a).shares.resize(4, NodeShare{0, 48, 48});
+  EXPECT_FALSE(registry.check_consistent(jobs, &diag));
+  EXPECT_EQ(diag,
+            "mate registry weight histogram diverged from the job scan "
+            "(node count 2: indexed 1 mates, scanned 0)");
+}
+
+TEST(MateRegistry, WeightHistogramFollowsListingChanges) {
+  // A finish clears the job's shares before the registry hears of it, so
+  // unlisting must use the weight recorded at listing time.
+  JobRegistry jobs;
+  MateRegistry registry(kDefaultCap);
+  const JobId a = start_weighted(jobs, registry, 3);
+  start_weighted(jobs, registry, 3);
+  EXPECT_TRUE(registry.can_sum_to(6, 2));
+  jobs.at(a).state = JobState::Completed;
+  jobs.at(a).shares.clear();
+  registry.on_finish(jobs.at(a), jobs);
+  std::string diag;
+  EXPECT_TRUE(registry.check_consistent(jobs, &diag)) << diag;
+  EXPECT_TRUE(registry.can_sum_to(3, 2));
+  EXPECT_FALSE(registry.can_sum_to(6, 2));  // one 3-node mate is left
+
+  MateRegistry seeded(kDefaultCap);
+  seeded.seed(jobs);
+  EXPECT_TRUE(seeded.check_consistent(jobs, &diag)) << diag;
+  EXPECT_TRUE(seeded.can_sum_to(3, 1));
+}
+
+/// Whether `weight` is the sum of at most `max_mates` entries of `weights`,
+/// each entry used at most once: every subset, enumerated.
+bool brute_force_sum(const std::vector<int>& weights, int weight, int max_mates) {
+  const std::size_t n = weights.size();
+  for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
+    if (std::popcount(mask) > max_mates) continue;
+    int sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) sum += weights[i];
+    }
+    if (sum == weight) return true;
+  }
+  return false;
+}
+
+TEST(MateRegistry, CanSumToMatchesBruteForce) {
+  std::uint64_t state = 0x853c49e6748fea9bULL;  // xorshift64
+  const auto rnd = [&state](std::uint64_t bound) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<int>(state % bound);
+  };
+  int reachable = 0;
+  int unreachable = 0;
+  for (int round = 0; round < 200; ++round) {
+    JobRegistry jobs;
+    MateRegistry registry(kDefaultCap);
+    // A few distinct weights drawn up to 32, several mates each, so the
+    // histogram has duplicates; then some mates finish again.
+    std::vector<int> pool(1 + static_cast<std::size_t>(rnd(5)));
+    for (int& w : pool) w = 1 + rnd(32);
+    std::vector<JobId> ids;
+    for (int i = rnd(13); i > 0; --i) {
+      ids.push_back(start_weighted(jobs, registry, pool[static_cast<std::size_t>(
+                                                        rnd(pool.size()))]));
+    }
+    std::vector<int> listed;
+    for (const JobId id : ids) {
+      Job& job = jobs.at(id);
+      if (rnd(4) == 0) {
+        job.state = JobState::Completed;
+        job.shares.clear();
+        registry.on_finish(job, jobs);
+      } else {
+        listed.push_back(static_cast<int>(job.shares.size()));
+      }
+    }
+    std::string diag;
+    ASSERT_TRUE(registry.check_consistent(jobs, &diag)) << "round " << round << ": " << diag;
+    for (int max_mates = 1; max_mates <= 3; ++max_mates) {
+      for (int weight = 1; weight <= 64; ++weight) {
+        const bool want = brute_force_sum(listed, weight, max_mates);
+        ASSERT_EQ(registry.can_sum_to(weight, max_mates), want)
+            << "round " << round << " weight " << weight << " max_mates " << max_mates;
+        ++(want ? reachable : unreachable);
+      }
+    }
+  }
+  // Both answers are exercised, so neither "always" nor "never" passes.
+  EXPECT_GT(reachable, 1000);
+  EXPECT_GT(unreachable, 1000);
 }
 
 // ---------------------------------------------------------------------------

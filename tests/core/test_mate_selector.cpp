@@ -34,7 +34,8 @@ class MateSelectorTest : public ::testing::Test {
     return selector;
   }
 
-  /// Mark `id` running and tell the registry (the scheduler's start hook).
+  /// Mark `id` running and tell the registry (the scheduler's start hook,
+  /// which runs after the placement has written the job's shares).
   void mark_running(JobId id) {
     jobs_.at(id).state = JobState::Running;
     registry_.on_start(jobs_.at(id), jobs_);
@@ -59,9 +60,9 @@ class MateSelectorTest : public ::testing::Test {
     Job& job = jobs_.at(id);
     job.start_time = start;
     job.predicted_end = start + req_time;
-    mark_running(id);
     const auto free = machine_.find_free_nodes(nodes);
     mgr_.start_static(start, id, *free);
+    mark_running(id);
     return id;
   }
 
@@ -88,8 +89,8 @@ class MateSelectorTest : public ::testing::Test {
     spec.malleability = MalleabilityClass::Rigid;
     const JobId id = jobs_.add(spec);
     jobs_.at(id).predicted_end = req_time;
-    mark_running(id);
     mgr_.start_static(0, id, *machine_.find_free_nodes(nodes));
+    mark_running(id);
     return id;
   }
 
@@ -194,8 +195,8 @@ TEST_F(MateSelectorTest, RigidJobsAreNotMates) {
   spec.malleability = MalleabilityClass::Rigid;
   const JobId id = jobs_.add(spec);
   jobs_.at(id).predicted_end = 10000;
-  mark_running(id);
   mgr_.start_static(0, id, *machine_.find_free_nodes(2));
+  mark_running(id);
 
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
@@ -218,8 +219,8 @@ TEST_F(MateSelectorTest, ExGuestsAreIneligible) {
   ex_guest.predicted_end = 10000;
   ex_guest.started_as_guest = true;  // before the registry hears the start
   const JobId mate = ex_guest.spec.id;
-  mark_running(mate);
   mgr_.start_static(0, mate, *machine_.find_free_nodes(2));
+  mark_running(mate);
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
 }
@@ -235,8 +236,8 @@ TEST_F(MateSelectorTest, RankFloorBlocksOverShrink) {
   spec.ranks_per_node = 30;
   const JobId id = jobs_.add(spec);
   jobs_.at(id).predicted_end = 10000;
-  mark_running(id);
   mgr_.start_static(0, id, *machine_.find_free_nodes(2));
+  mark_running(id);
 
   Job& guest = pending_guest(2, 100);
   const auto plan = selector_.select(guest, 0, kInf);
@@ -350,6 +351,71 @@ TEST_F(MateSelectorTest, CrosscheckCatchesStaleBudgets) {
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("job " + std::to_string(mate) + " node 0"), std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(MateSelectorTest, WeightRejectionHonoursFreeNodeTargets) {
+  // One 2-node mate and a 3-node guest: W = 3 alone is out of reach, but
+  // each free node the guest may borrow lowers the mates' target to W - f.
+  SdConfig with_free = sd_;
+  with_free.include_free_nodes = true;
+  const MateSelector free_selector = selector_for(with_free);
+  run_mate(2, 0, 10000);  // leaves 6 nodes free
+  Job& guest = pending_guest(3, 500);
+
+  // Targets {3}: rejected before any candidate is scanned.
+  EXPECT_FALSE(free_selector.select(guest, 0, kInf, 0).has_value());
+  EXPECT_EQ(free_selector.stats().weight_rejections, 1u);
+  EXPECT_EQ(free_selector.stats().candidates_scanned, 0u);
+  EXPECT_FALSE(free_selector.last_scan().truncated);
+
+  // Targets {3, 2}: the 2-node mate plus one free node.
+  const auto plan = free_selector.select(guest, 0, kInf, 1);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(free_selector.stats().weight_rejections, 1u);
+  EXPECT_EQ(free_selector.stats().candidates_scanned, 1u);
+
+  // Targets {3, 2, 1}: still reached through W - 1 = 2, and the search
+  // prefers the same plan (f = 2 would need a 1-node mate).
+  const auto wide = free_selector.select(guest, 0, kInf, 6);
+  ASSERT_TRUE(wide.has_value());
+  EXPECT_EQ(wide->mates, plan->mates);
+  EXPECT_EQ(free_selector.stats().weight_rejections, 1u);
+
+  // Without the include_free_nodes option the allowance is ignored.
+  EXPECT_FALSE(selector_.select(guest, 0, kInf, 6).has_value());
+  EXPECT_EQ(selector_.stats().weight_rejections, 1u);
+  EXPECT_EQ(selector_.stats().candidates_scanned, 0u);
+}
+
+TEST_F(MateSelectorTest, CrosscheckCatchesAWrongWeightRejection) {
+  // The switch is read once per index, so this test builds its own.
+  const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+  ClusterStateIndex checked(machine_, jobs_);
+  MateSelector selector(machine_, jobs_, sd_, registry_);
+  selector.set_cluster_index(&checked);
+
+  // The registry lists a mate before its placement writes its shares, so
+  // the histogram files it under node count 0 and no weight reaches 2.
+  JobSpec spec;
+  spec.req_time = 10000;
+  spec.base_runtime = 10000;
+  spec.req_cpus = 96;
+  spec.req_nodes = 2;
+  const JobId mate = jobs_.add(spec);
+  jobs_.at(mate).predicted_end = 10000;
+  mark_running(mate);
+  mgr_.start_static(0, mate, *machine_.find_free_nodes(2));
+  ASSERT_FALSE(registry_.can_sum_to(2, sd_.max_mates));
+
+  const Job& guest = pending_guest(2, 100);
+  try {
+    (void)selector.select(guest, 7, kInf);
+    FAIL() << "a weight rejection that hid a plan went unnoticed";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job " + std::to_string(guest.spec.id) + " at t=7"), std::string::npos)
         << what;
   }
 }

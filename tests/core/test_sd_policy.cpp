@@ -6,9 +6,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "../sched/scheduler_test_harness.h"
 #include "../scoped_env.h"
+#include "core/cutoff.h"
 
 namespace sdsched {
 namespace {
@@ -273,6 +275,59 @@ TEST_F(SdPolicyTest, DynAvgSdIsConservativeOnLoneMate) {
   dyn.schedule_pass(10);
   EXPECT_TRUE(executor_.guest_starts.empty());
   EXPECT_TRUE(dyn.queue().contains(b));
+}
+
+// The cut-off cache's crosscheck message must print both values with
+// enough digits to tell them apart. Two running jobs that never got a
+// start_time make DynAVGSD move with `now` at a fixed mutation serial (a
+// state the simulator itself never produces), and with requests of 10^7 s
+// the cut-offs at t = 1 and t = 2 differ only in the 7th digit.
+TEST(SdPolicyCutoffCache, CrosscheckMessagePrintsRoundTripDigits) {
+  const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+  MachineConfig config;
+  config.nodes = 4;
+  config.node = NodeConfig{2, 24};
+  Machine machine(config);
+  JobRegistry jobs;
+  DromRegistry drom;
+  NodeManager mgr(machine, jobs, drom);
+  RecordingExecutor executor(machine, jobs, mgr);
+  ASSERT_TRUE(executor.index.crosscheck());
+  constexpr SimTime kLong = 10000000;
+  std::vector<JobId> running;
+  for (const std::vector<int>& nodes : {std::vector<int>{0, 1}, std::vector<int>{2, 3}}) {
+    const JobId id = jobs.add(spec_of(0, kLong, kLong, 96, 48));
+    jobs.at(id).state = JobState::Running;
+    jobs.at(id).predicted_end = kLong;
+    mgr.start_static(0, id, nodes);
+    running.push_back(id);
+  }
+  SdConfig sd;
+  sd.cutoff = CutoffConfig::dynamic_avg();
+  SdPolicyScheduler sched(machine, jobs, executor, SchedConfig{}, sd);
+  sched.set_cluster_index(&executor.index);
+  // A 3-node guest: no pair of 2-node mates sums to it, so no pass mutates.
+  sched.on_submit(jobs.add(spec_of(0, 100, 100, 144, 48)));
+  sched.schedule_pass(1);
+
+  const double cached = compute_cutoff(sd.cutoff, jobs, running, 1);
+  const double fresh = compute_cutoff(sd.cutoff, jobs, running, 2);
+  ASSERT_NE(cached, fresh);
+  std::string what = "no exception";
+  try {
+    sched.schedule_pass(2);
+  } catch (const std::logic_error& e) {
+    what = e.what();
+  }
+  const std::string prefix = "SD cutoff cache diverged from a fresh computation: cached ";
+  ASSERT_EQ(what.rfind(prefix, 0), 0u) << what;
+  const auto comma = what.find(", fresh ");
+  const auto at = what.find(" at t=2");
+  ASSERT_NE(comma, std::string::npos) << what;
+  ASSERT_NE(at, std::string::npos) << what;
+  // Each printed value reads back as exactly the double it came from.
+  EXPECT_EQ(std::stod(what.substr(prefix.size(), comma - prefix.size())), cached) << what;
+  EXPECT_EQ(std::stod(what.substr(comma + 8, at - comma - 8)), fresh) << what;
 }
 
 // Backfill skips a pass that would repeat a quiet one; SD-Policy never

@@ -18,8 +18,8 @@
 //      and a tight budget still drains the workload (deferred guests are
 //      reconsidered on later passes);
 //  (c) on the saturated 5040-node scene (tests/bench_scenes.h) the pass's
-//      work counters are the values the budget implies, identical at queue
-//      depths 1000 and 4000.
+//      work counters are the values the budget and the guests' width
+//      imply, identical at queue depths 1000 and 4000.
 //
 // Identity in (b) is asserted on a decision document: the full metrics
 // summary, the FNV-1a digest of every per-job record, and the
@@ -187,28 +187,43 @@ TEST(SdSaturation, TightBudgetDefersButDrains) {
 // how many of them reach a mate search or a ledger skip. Pass 1 searches 64
 // guests and each search fails; nothing mutates, so passes 2-4 skip the
 // same 64 through the ledger; the other 936 walked guests are deferred on
-// every pass. Each search walks every listed mate once. None of this may
-// depend on how deep the queue behind the walked prefix is.
-TEST(SdSaturation, SaturatedPassCountersFollowTheBudget) {
+// every pass. None of this may depend on how deep the queue behind the
+// walked prefix is. What a search costs depends on the guest's width: no
+// two 2-node mates sum to 3 nodes, so a 3-node guest's search is a weight
+// rejection that scans nothing, while a 4-node guest's walks every listed
+// mate once.
+void expect_saturated_pass_counters(int guest_nodes, bool weight_rejected) {
   using testing_support::SaturatedSdScene;
   constexpr std::uint64_t kPasses = 4;
   constexpr std::uint64_t kBudget = SaturatedSdScene::kGuestBudget;
   constexpr std::uint64_t kWalked = SchedConfig{}.bf_max_jobs;
   constexpr std::uint64_t kMates = SaturatedSdScene::kNodes / 2;
   for (const int depth : {1000, 4000}) {
-    SaturatedSdScene scene(depth);
+    SCOPED_TRACE(depth);
+    SaturatedSdScene scene(depth, guest_nodes);
     scene.run_passes(static_cast<int>(kPasses));
     // Under SDSCHED_CROSSCHECK every skip also re-runs its search.
     const std::uint64_t searches = scene.index.crosscheck() ? kBudget * kPasses : kBudget;
     const SdPolicyScheduler& sd = *scene.scheduler;
-    EXPECT_EQ(sd.selector_stats().selects, searches) << "depth " << depth;
-    EXPECT_EQ(sd.selector_stats().candidates_scanned, searches * kMates) << "depth " << depth;
-    EXPECT_EQ(sd.selector_stats().plans_found, 0u) << "depth " << depth;
-    EXPECT_EQ(sd.estimate_rejections(), 0u) << "depth " << depth;
-    EXPECT_EQ(sd.selection_failures(), kBudget * kPasses) << "depth " << depth;
-    EXPECT_EQ(sd.rescans_avoided(), kBudget * (kPasses - 1)) << "depth " << depth;
-    EXPECT_EQ(sd.budget_deferrals(), (kWalked - kBudget) * kPasses) << "depth " << depth;
+    const MateSelector::SelectStats& stats = sd.selector_stats();
+    EXPECT_EQ(stats.selects, searches);
+    EXPECT_EQ(stats.weight_rejections, weight_rejected ? searches : 0u);
+    EXPECT_EQ(stats.candidates_scanned, weight_rejected ? 0u : searches * kMates);
+    EXPECT_EQ(stats.combinations_evaluated, 0u);
+    EXPECT_EQ(stats.plans_found, 0u);
+    EXPECT_EQ(sd.estimate_rejections(), 0u);
+    EXPECT_EQ(sd.selection_failures(), kBudget * kPasses);
+    EXPECT_EQ(sd.rescans_avoided(), kBudget * (kPasses - 1));
+    EXPECT_EQ(sd.budget_deferrals(), (kWalked - kBudget) * kPasses);
   }
+}
+
+TEST(SdSaturation, SaturatedPassCountersFollowTheBudget) {
+  expect_saturated_pass_counters(3, /*weight_rejected=*/true);
+}
+
+TEST(SdSaturation, SaturatedPassScansEveryMateWhenWeightsFit) {
+  expect_saturated_pass_counters(4, /*weight_rejected=*/false);
 }
 
 // Unit-level ledger semantics: the skip predicate is exactly (same serial,

@@ -8,6 +8,7 @@
 #include "../scoped_env.h"
 #include "api/experiment.h"
 #include "api/simulation.h"
+#include "core/sd_policy.h"
 #include "workload/cirne.h"
 
 namespace sdsched {
@@ -216,7 +217,9 @@ TEST(SdEndToEnd, AppModelRealRunImprovesEnergy) {
 // before the first guest arrived unless the mate's occupancy stamp moved,
 // and the crosscheck re-fills every budget-cache hit and throws on a stale
 // one. The run must show at least one such second pick: two guests that
-// overlap in time and share a mate.
+// overlap in time and share a mate. Mates of mixed widths leave some guest
+// widths out of Eq. 3's reach, so weight rejections fire as well, and the
+// crosscheck re-proves each with the full mate search.
 TEST(SdPolicyCapThree, ListedMatesHostingGuestsCrosscheckClean) {
   const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
   CirneConfig wl;
@@ -253,6 +256,10 @@ TEST(SdPolicyCapThree, ListedMatesHostingGuestsCrosscheckClean) {
     }
   }
   EXPECT_GT(stacked, 0) << "no mate took a second guest while hosting one";
+
+  const auto& sd = dynamic_cast<const SdPolicyScheduler&>(sim.scheduler());
+  EXPECT_GT(sd.selector_stats().weight_rejections, 0u) << "no weight rejection was re-proven";
+  EXPECT_GT(sd.selector_stats().candidates_scanned, 0u);
 }
 
 }  // namespace

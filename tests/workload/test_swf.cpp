@@ -113,8 +113,9 @@ TEST(Swf, MalformedLineThrows) {
 }
 
 // tests/data/hostile/: time fields past kSwfMaxSeconds (whose sums would
-// overflow SimTime downstream) and processor counts outside int. Both
-// readers reject each file with the same message naming line and field.
+// overflow SimTime downstream), processor counts outside int, and fields
+// outside long long, where integer extraction fails and the row ends early.
+// Both readers reject each file with the same message naming line and field.
 TEST(Swf, HostileFieldsThrowInBothReaders) {
   const std::string dir = std::string(SDSCHED_TESTS_DIR) + "/data/hostile/";
   const std::pair<const char*, const char*> cases[] = {
@@ -127,6 +128,8 @@ TEST(Swf, HostileFieldsThrowInBothReaders) {
        "SWF line 2: requested processors 4294967296 is beyond +/-2147483647"},
       {"negative_processors.swf",
        "SWF line 2: allocated processors -9999999999 is beyond +/-2147483647"},
+      {"overflow_requested_time.swf", "SWF line 2: expected >=11 fields, got 8"},
+      {"underflow_requested_time.swf", "SWF line 2: expected >=11 fields, got 8"},
   };
   for (const auto& [file, message] : cases) {
     const auto message_of = [&](auto read) {
@@ -143,6 +146,33 @@ TEST(Swf, HostileFieldsThrowInBothReaders) {
     EXPECT_EQ(message_of([](std::istream& in) { return read_swf_reference(in); }), message)
         << file;
   }
+}
+
+// The long long extremes themselves still parse: only a value beyond them
+// ends the row. The queue and partition columns are never range-checked.
+TEST(Swf, LongLongBoundsParseInBothReaders) {
+  const std::string row =
+      "1 10 0 100 4 -1 -1 4 200 -1 1 1 -1 -9223372036854775808 9223372036854775807 -1 -1 -1\n";
+  std::istringstream streamed(row);
+  std::istringstream reference(row);
+  const Workload a = read_swf(streamed);
+  const Workload b = read_swf_reference(reference);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a.jobs().front().req_time, 200);
+  EXPECT_EQ(b.jobs().front().req_time, 200);
+}
+
+// A header value outside long long is no header in either reader (std::stoll
+// throws; the streaming parse must not wrap it to 10).
+TEST(Swf, OverflowingHeaderIsIgnoredInBothReaders) {
+  const std::string text =
+      "; MaxNodes: 18446744073709551626\n"
+      "1 10 0 100 4 -1 -1 4 200 -1 1 1 -1 -1 -1 -1 -1 -1\n";
+  std::istringstream streamed(text);
+  std::istringstream reference(text);
+  EXPECT_EQ(read_swf(streamed).info().system_nodes, 0);
+  EXPECT_EQ(read_swf_reference(reference).info().system_nodes, 0);
 }
 
 TEST(Swf, RoundTripPreservesJobs) {
