@@ -120,7 +120,7 @@ void BM_MateSelection(benchmark::State& state) {
   const JobId guest = jobs.add(guest_spec);
 
   SdConfig sd;
-  MateRegistry registry(sd.max_jobs_per_node);
+  MateRegistry registry;
   registry.seed(jobs);
   MateSelector selector(machine, jobs, sd, registry);
   selector.set_cluster_index(&index);

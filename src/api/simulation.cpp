@@ -162,17 +162,14 @@ void Simulation::on_submit(JobId id) {
   scheduler_->on_submit(id);
   // Coalesce same-timestamp submit bursts into one pass. Kind-major event
   // ordering keeps a burst contiguous (all finishes at t fire before the
-  // first submit at t), and under FCFS priority the coalesced pass walks
-  // the burst in arrival order, so it makes the exact decisions the
-  // per-submit passes would have made — minus the rework. Two cases must
-  // keep a pass per submit to stay decision-identical: non-FCFS
-  // priorities (a coalesced pass could schedule a later same-timestamp
-  // arrival before an earlier one) and SD-Policy (a malleable start's
-  // within-pass profile edits leave a mate-shared node free at the
-  // stretched mate end even when the guest outlives it, whereas the next
-  // per-submit pass would rebuild the exact profile).
-  if (config_.policy != PolicyKind::SdPolicy &&
-      config_.sched.priority.kind == PriorityKind::Fcfs && !engine_.idle() &&
+  // first submit at t), and the coalesced pass walks the burst in arrival
+  // order, so it makes the exact decisions the per-submit passes would have
+  // made — minus the rework. SD-Policy keeps a pass per submit to stay
+  // decision-identical: a malleable start's within-pass profile edits leave
+  // a mate-shared node free at the stretched mate end even when the guest
+  // outlives it, whereas the next per-submit pass would rebuild the exact
+  // profile.
+  if (config_.policy != PolicyKind::SdPolicy && !engine_.idle() &&
       engine_.next_time() == engine_.now() &&
       engine_.next_event().kind == EventKind::JobSubmit) {
     ++submits_coalesced_;

@@ -98,11 +98,6 @@ void ClusterStateIndex::refresh_node(int node_id) {
 
 void ClusterStateIndex::on_node_occupancy_changed(int node_id) {
   ++mutation_serial_;
-  for (const auto& occ : machine_.node(node_id).occupants()) {
-    const auto idx = static_cast<std::size_t>(occ.job);
-    if (idx >= occupancy_serial_.size()) occupancy_serial_.resize(idx + 1, 0);
-    occupancy_serial_[idx] = mutation_serial_;
-  }
   refresh_node(node_id);
 }
 

@@ -21,8 +21,7 @@
 //    from the scheduling pass on every start and from SD-Policy's
 //    mate-combination DFS — resolves with popcount/ctz word scans;
 //  * a version counter, so schedulers can reuse their profile base across
-//    passes when nothing changed, and a per-job occupancy stamp, so the
-//    MateSelector reuses a mate's node budgets until a node it holds moves.
+//    passes when nothing changed.
 //
 // Node occupancy itself lives in the Machine's node table; these are the
 // only derived records, and each node flip writes one release map entry and
@@ -81,15 +80,6 @@ class ClusterStateIndex final : public MachineObserver {
   /// guarantees the machine has not been touched at all — the key SD's
   /// failed-select ledger and cut-off cache are valid under.
   [[nodiscard]] std::uint64_t mutation_serial() const noexcept { return mutation_serial_; }
-
-  /// mutation_serial() of the last occupancy notification on a node `job`
-  /// occupied then (0 if none; predicted-end moves stamp nothing). What the
-  /// job's shares and its nodes' free cores determine at serial v holds
-  /// while occupancy_serial(job) <= v: the MateSelector's budget-cache key.
-  [[nodiscard]] std::uint64_t occupancy_serial(JobId job) const noexcept {
-    const auto idx = static_cast<std::size_t>(job);
-    return idx < occupancy_serial_.size() ? occupancy_serial_[idx] : 0;
-  }
 
   /// Occupied-node release groups for a pass at `now`: ascending (free_at,
   /// nodes) with overdue occupants (free_at <= now) clamped to now + 1
@@ -175,7 +165,6 @@ class ClusterStateIndex final : public MachineObserver {
 
   std::uint64_t version_ = 0;
   std::uint64_t mutation_serial_ = 0;
-  std::vector<std::uint64_t> occupancy_serial_;  ///< by JobId, grown on demand
   bool crosscheck_ = false;
 };
 

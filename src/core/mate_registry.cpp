@@ -26,9 +26,8 @@ void erase_sorted(std::vector<JobId>& ids, JobId id) {
 
 }  // namespace
 
-bool MateRegistry::is_mate(const Job& job) const noexcept {
-  return job.running() && job.can_be_mate() && !job.started_as_guest &&
-         static_cast<int>(job.guests.size()) < max_jobs_per_node_ - 1;
+bool MateRegistry::is_mate(const Job& job) noexcept {
+  return job.running() && job.can_be_mate() && !job.started_as_guest && job.guests.empty();
 }
 
 void MateRegistry::sync_mate(const Job& job) {
@@ -116,7 +115,7 @@ void MateRegistry::seed(const JobRegistry& jobs) {
 void MateRegistry::on_start(const Job& job, const JobRegistry& jobs) {
   insert_sorted(running_, job.spec.id);
   sync_mate(job);
-  // Only a guest has mates; each one it joined may now be full.
+  // Only a guest has mates; each one it joined now hosts it.
   for (const JobId mate : job.mates) sync_mate(jobs.at(mate));
 }
 
@@ -124,7 +123,7 @@ void MateRegistry::on_finish(const Job& job, const JobRegistry& jobs) {
   erase_sorted(running_, job.spec.id);
   unlist_mate(job.spec.id);
   // A finished guest's `mates` still names the survivors (a mate that
-  // finished first was erased from it), each now one guest lighter.
+  // finished first was erased from it), each hosting no guest again.
   for (const JobId mate : job.mates) sync_mate(jobs.at(mate));
 }
 

@@ -10,11 +10,12 @@
 //  * running() — every running job, in ascending id order (the exact order
 //    a registry scan visits them, so DynAVGSD's floating-point average sums
 //    in the identical order);
-//  * mates()   — the jobs that can still take a guest: running, malleable,
-//    not started as a guest, and hosting fewer than max_jobs_per_node - 1
-//    guests. A full mate leaves while its guests fill it. The checks of
-//    eligible_mate (weight, remaining allocation) stay at query time because
-//    they depend on the guest or on `now`.
+//  * mates()   — the jobs that can take a guest: running, malleable, not
+//    started as a guest, and hosting no guest (a node holds its owner and
+//    at most one guest). A mate leaves while it hosts a guest and returns
+//    when that guest finishes. The checks of eligible_mate (weight,
+//    remaining allocation) stay at query time because they depend on the
+//    guest or on `now`.
 //
 // Beside mates() it keeps a histogram of the listed mates by node count
 // (`shares.size()`, the weight w_i that Eq. 3 sums) and the ascending list
@@ -38,16 +39,12 @@ namespace sdsched {
 
 class MateRegistry {
  public:
-  /// Takes the selector's SdConfig::max_jobs_per_node (occupants per node).
-  explicit MateRegistry(int max_jobs_per_node) noexcept
-      : max_jobs_per_node_(max_jobs_per_node) {}
-
   /// Index an already-populated registry (warm-start scenarios construct
   /// the scheduler against running jobs).
   void seed(const JobRegistry& jobs);
 
   /// `job` began running (static or guest start). A guest is running but
-  /// never a mate, and the mates it filled leave mates() (the NodeManager's
+  /// never a mate, and the mates it joined leave mates() (the NodeManager's
   /// placement has already written started_as_guest, `mates` and `guests`).
   void on_start(const Job& job, const JobRegistry& jobs);
 
@@ -74,7 +71,7 @@ class MateRegistry {
 
  private:
   /// Membership in mates().
-  [[nodiscard]] bool is_mate(const Job& job) const noexcept;
+  [[nodiscard]] static bool is_mate(const Job& job) noexcept;
   /// Bring `job`'s membership in mates() in line with is_mate().
   void sync_mate(const Job& job);
   /// Insert into / erase from mates(), keeping the histogram in step.
@@ -84,7 +81,6 @@ class MateRegistry {
   /// can_sum_to over the distinct weights below index `end` of weights_.
   [[nodiscard]] bool reachable(int weight, int max_mates, std::size_t end) const;
 
-  int max_jobs_per_node_;
   std::vector<JobId> running_;
   std::vector<JobId> mates_;
   /// mate_weights_[i] is mates_[i]'s node count when it was listed (a

@@ -42,7 +42,7 @@ void MateSelector::release_budgets(JobId job) noexcept {
 
 bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
                                  SimTime now) const noexcept {
-  // Running, malleable, not a guest and not full are mates() invariants.
+  // Running, malleable, not a guest and hosting none are mates() invariants.
   if (candidate.spec.req_nodes > guest.spec.req_nodes) return false;  // w_i <= W
   return candidate.predicted_end > now;  // remaining allocation
 }
@@ -50,11 +50,10 @@ bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
 MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
                                                        const Job& guest) const {
   CachedBudgets& slot = budget_cache_[static_cast<std::size_t>(job.spec.id)];
-  // Valid until a node the mate holds is notified (docs/determinism.md
-  // "Budget-cache validity"). Adaptive sharing makes the SharingFactor a
-  // function of the (mate, guest) pairing, so it refills every time.
-  if (!config_.adaptive_sharing && slot.valid &&
-      index_->occupancy_serial(job.spec.id) <= slot.version) {
+  // Valid until the mate finishes (docs/determinism.md "Budget-cache
+  // validity"). Adaptive sharing makes the SharingFactor a function of the
+  // (mate, guest) pairing, so it refills every time.
+  if (!config_.adaptive_sharing && slot.valid) {
     if (index_->crosscheck()) verify_budgets(job, slot);
     return slot;
   }
@@ -98,7 +97,6 @@ void MateSelector::fill_budgets(const Job& job, double sharing_factor,
     slot.nodes.push_back(budget);
   }
   slot.valid = true;
-  slot.version = index_->mutation_serial();
 }
 
 void MateSelector::verify_budgets(const Job& job, const CachedBudgets& cached) const {

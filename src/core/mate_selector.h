@@ -9,10 +9,10 @@
 //
 // subject to p_i < MAX_SLOWDOWN (Eq. 2) and Σ x_i · w_i = W (Eq. 3), where
 // w_i is mate i's node count and W the guest's. Additional constraints from
-// §3.2.4/§3.3: at most `m` mates per plan, at most `max_jobs_per_node`
-// occupants per node, a mate keeps at least one cpu per MPI rank, a guest
-// takes at most SharingFactor of a node's cores from its owner, and the
-// guest's predicted end must fall inside every mate's allocation.
+// §3.2.4/§3.3: at most `m` mates per plan, at most one guest per mate (so
+// per node), a mate keeps at least one cpu per MPI rank, a guest takes at
+// most SharingFactor of a node's cores from its owner, and the guest's
+// predicted end must fall inside every mate's allocation.
 //
 // Heuristic: candidates are filtered by the cut-off, sorted by penalty, and
 // truncated to `nm`; combinations of up to `m` mates are enumerated
@@ -23,12 +23,12 @@
 // most `m` listed mates' node counts; when none is, it returns without
 // scanning a candidate (SelectStats::weight_rejections), which is most
 // selects on a machine of uniform-width mates. Otherwise candidate
-// collection walks only the registry's mates(), which leaves out full mates
-// (the SdPolicyScheduler owns the registry), and free-node picks go through
-// the ClusterStateIndex's class-partitioned bitmap. Loop invariants of the
-// DFS (the guest's balanced split and the free-node prefix of a plan) are
-// resolved once per select() / per free_used value, never per evaluated
-// combination.
+// collection walks only the registry's mates(), which leaves out mates
+// hosting a guest (the SdPolicyScheduler owns the registry), and free-node
+// picks go through the ClusterStateIndex's class-partitioned bitmap. Loop
+// invariants of the DFS (the guest's balanced split and the free-node
+// prefix of a plan) are resolved once per select() / per free_used value,
+// never per evaluated combination.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,7 @@ class MateRegistry;
 class MateSelector {
  public:
   /// `registry` supplies the candidate mates; it must hear every start and
-  /// finish of `jobs` and share `config.max_jobs_per_node`.
+  /// finish of `jobs`.
   MateSelector(const Machine& machine, const JobRegistry& jobs, const SdConfig& config,
                const MateRegistry& registry) noexcept
       : machine_(machine), jobs_(jobs), config_(config), registry_(registry) {}
@@ -77,7 +77,7 @@ class MateSelector {
   /// Work counters (observability; exact on any hardware).
   struct SelectStats {
     std::uint64_t selects = 0;                 ///< select() calls
-    std::uint64_t candidates_scanned = 0;      ///< mates() entries walked (never full mates)
+    std::uint64_t candidates_scanned = 0;      ///< mates() entries walked
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
     std::uint64_t weight_rejections = 0;       ///< selects no listed weights could satisfy
@@ -114,12 +114,11 @@ class MateSelector {
   /// A candidate's per-share budgets are guest-independent (unless
   /// adaptive sharing ties the SharingFactor to the pairing), so they are
   /// cached per job. They read only the mate's own shares and the free
-  /// cores of the nodes it holds, so a slot is refilled only once the
-  /// index's occupancy_serial(job) passes the serial it was filled at —
-  /// a mutation on a node the mate does not hold leaves it valid.
+  /// cores of the nodes it holds, and a listed mate hosts no guest, so it is
+  /// alone on its nodes at its static split whenever it is examined: a slot
+  /// stays valid from its fill until release_budgets().
   struct CachedBudgets {
-    std::uint64_t version = 0;  ///< index mutation serial the budgets were filled at
-    bool valid = false;         ///< version/contents are meaningful
+    bool valid = false;         ///< contents are meaningful
     bool feasible = false;      ///< every share can host >= 1 guest cpu
     std::vector<NodeBudget> nodes;
     /// Quick-penalty memo: worst kept/static ratio for the last per-node
@@ -182,9 +181,9 @@ class MateSelector {
   /// Indexed by JobId; sized to the job registry at the start of a collect,
   /// so entries (and the pointers Candidates take into them) stay put for
   /// the whole select. Budgets are reused across selects and passes until
-  /// a node the mate holds is notified (occupancy_serial); with adaptive
-  /// sharing, whose SharingFactor depends on the guest, every examine
-  /// refills its slot. Under crosscheck() every hit is re-derived.
+  /// the mate finishes; with adaptive sharing, whose SharingFactor depends
+  /// on the guest, every examine refills its slot. Under crosscheck() every
+  /// hit is re-derived.
   mutable std::vector<CachedBudgets> budget_cache_;
 };
 

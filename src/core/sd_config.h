@@ -29,6 +29,8 @@ struct CutoffConfig {
   }
 };
 
+/// A node holds at most its owner and one guest (SharingFactor 0.5 on a
+/// two-socket node, §3.3), so a mate hosts at most one guest at a time.
 struct SdConfig {
   /// Fraction of a node's cores a guest may take from a mate (§3.3).
   /// 0.5 = socket isolation on a two-socket node (the MN4 setting).
@@ -44,10 +46,6 @@ struct SdConfig {
   /// Allow plans mixing shrunk mates with entirely free nodes (§3.2.4
   /// "including free nodes to reduce fragmentation").
   bool include_free_nodes = false;
-
-  /// Occupancy cap per node including the owner (§3.2.4 "more than two
-  /// mates per node are supported"). 2 = one owner + one guest.
-  int max_jobs_per_node = 2;
 
   /// Future work #1: tune SharingFactor per (mate, guest) pairing from
   /// application profiles instead of the fixed socket split (§3.3).

@@ -28,7 +28,6 @@ const SdConfig& validated(const SdConfig& sd) {
     reject("sharing_factor", "a number in (0, 1]", sd.sharing_factor);
   }
   if (sd.max_mates < 1) reject("max_mates", ">= 1", sd.max_mates);
-  if (sd.max_jobs_per_node < 1) reject("max_jobs_per_node", ">= 1", sd.max_jobs_per_node);
   if (sd.max_candidates < 0) reject("max_candidates", ">= 0", sd.max_candidates);
   if (sd.scan.guest_budget < 0) reject("scan.guest_budget", ">= 0", sd.scan.guest_budget);
   if (sd.cutoff.kind == CutoffKind::Static && !(sd.cutoff.value > 0.0)) {
@@ -44,7 +43,6 @@ SdPolicyScheduler::SdPolicyScheduler(Machine& machine, JobRegistry& jobs,
                                      SdConfig sd_config)
     : BackfillScheduler(machine, jobs, executor, sched_config),
       sd_config_(validated(sd_config)),
-      mate_registry_(sd_config_.max_jobs_per_node),
       selector_(machine, jobs, sd_config_, mate_registry_) {
   // Warm-start scenarios construct the scheduler against running jobs.
   mate_registry_.seed(jobs_);

@@ -16,8 +16,8 @@
 // most once per guest per pass. SD passes never take backfill's quiet-pass
 // skip: mall_end moves with `now`.
 //
-// The policy owns a MateRegistry — running / mate id sets, full mates left
-// out, fed by the start and finish notifications the schedulers emit — so
+// The policy owns a MateRegistry — running / mate id sets, mates hosting a
+// guest left out, fed by the start and finish notifications the schedulers emit — so
 // neither the DynAVGSD cut-off nor candidate collection rescans the whole
 // job registry per malleable-start attempt.
 // Under the cluster index's crosscheck() switch every pass re-derives the
@@ -25,7 +25,7 @@
 //
 // Saturated-queue bounds (SdConfig::scan, see core/guest_scan_policy.h):
 // an optional top-K guest budget slices each pass to the head of the
-// priority order, and the failed-select ledger skips mate searches whose
+// queue order, and the failed-select ledger skips mate searches whose
 // previous failure provably still stands — keyed on (mutation_serial,
 // planned, max_free) plus valid_until. Every start, finish and
 // reconfiguration writes a node before the MateRegistry hears of it, so an

@@ -1,9 +1,6 @@
 #include "job/wait_queue.h"
 
 #include <algorithm>
-#include <cassert>
-
-#include "job/job_registry.h"
 
 namespace sdsched {
 
@@ -36,19 +33,12 @@ bool WaitQueue::contains(JobId id) const noexcept {
                      [id](const Entry& e) { return e.id == id; });
 }
 
-const std::vector<JobId>& WaitQueue::scheduling_order(SimTime now) const {
-  const bool time_dependent = config_.kind == PriorityKind::Multifactor;
-  if (!cache_dirty_ && (!time_dependent || cache_now_ == now)) return cache_;
-
+const std::vector<JobId>& WaitQueue::scheduling_order() const {
+  if (!cache_dirty_) return cache_;
   cache_.clear();
   cache_.reserve(entries_.size());
   for (const auto& entry : entries_) cache_.push_back(entry.id);
-  if (config_.kind != PriorityKind::Fcfs) {
-    assert(jobs_ != nullptr && "non-FCFS priority needs configure(..., &registry)");
-    sort_by_priority(config_, *jobs_, now, cache_);
-  }
   cache_dirty_ = false;
-  cache_now_ = now;
   return cache_;
 }
 

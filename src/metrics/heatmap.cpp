@@ -13,15 +13,10 @@ constexpr SimTime kTimeMax = INT64_MAX / 4;
 }  // namespace
 
 CategoryHeatmap::CategoryHeatmap()
-    : CategoryHeatmap({1, 4, 16, 64, 256, 1024, kIntMax},
-                      {5 * kMinute, 30 * kMinute, 2 * kHour, 4 * kHour, 12 * kHour, kDay,
-                       kTimeMax}) {}
-
-CategoryHeatmap::CategoryHeatmap(std::vector<int> node_edges, std::vector<SimTime> time_edges)
-    : node_edges_(std::move(node_edges)), time_edges_(std::move(time_edges)) {
-  sums_.assign(node_edges_.size(), std::vector<double>(time_edges_.size(), 0.0));
-  counts_.assign(node_edges_.size(), std::vector<std::size_t>(time_edges_.size(), 0));
-}
+    : node_edges_{1, 4, 16, 64, 256, 1024, kIntMax},
+      time_edges_{5 * kMinute, 30 * kMinute, 2 * kHour, 4 * kHour, 12 * kHour, kDay, kTimeMax},
+      sums_(node_edges_.size(), std::vector<double>(time_edges_.size(), 0.0)),
+      counts_(node_edges_.size(), std::vector<std::size_t>(time_edges_.size(), 0)) {}
 
 std::size_t CategoryHeatmap::node_bucket(int nodes) const noexcept {
   for (std::size_t i = 0; i < node_edges_.size(); ++i) {

@@ -13,11 +13,10 @@ namespace sdsched {
 
 class CategoryHeatmap {
  public:
-  /// Default buckets: nodes {1, 2-4, 5-16, 17-64, 65-256, 257-1024, >1024},
+  /// Buckets: nodes {1, 2-4, 5-16, 17-64, 65-256, 257-1024, >1024},
   /// runtime {<=5m, <=30m, <=2h, <=4h, <=12h, <=1d, >1d} — covering the
   /// paper's "up to 4 hours / up to 512 nodes" talking points.
   CategoryHeatmap();
-  CategoryHeatmap(std::vector<int> node_edges, std::vector<SimTime> time_edges);
 
   using Extractor = std::function<double(const JobRecord&)>;
 

@@ -118,8 +118,7 @@ void BackfillScheduler::schedule_pass(SimTime now) {
   require_cluster_index();
   if (queue_.empty()) return;
   const bool quiet_repeat = quiet_ && quiet_serial_ == cluster_index_->mutation_serial() &&
-                            profile_.first_release_time() > now &&
-                            config_.priority.kind != PriorityKind::Multifactor;
+                            profile_.first_release_time() > now;
   if (!quiet_repeat) {
     run_pass(now);
     return;
@@ -141,7 +140,7 @@ void BackfillScheduler::run_pass(SimTime now) {
   bool quiet = true;
   int reservations = 0;
   int examined = 0;
-  for (const JobId id : scheduling_order(now)) {
+  for (const JobId id : scheduling_order()) {
     if (examined++ >= config_.bf_max_jobs) break;
     Job& job = jobs_.at(id);
     const int req_nodes = job.spec.req_nodes;

@@ -6,7 +6,7 @@
 // std::logic_error) and is *reused* across passes while the
 // cluster is unchanged; the profile's step array is restored from its
 // saved base copy, dropping the pass's own reservations, which are then
-// re-derived. The pass then walks the wait queue in priority order:
+// re-derived. The pass then walks the wait queue in arrival order:
 //   * a job whose earliest feasible start is *now* starts immediately;
 //   * otherwise the policy hook try_malleable() may co-schedule it
 //     (SD-Policy overrides this; the static baseline declines);
@@ -28,11 +28,10 @@
 //     budget-deferred guest never pays for a sweep;
 //   * schedule_pass() returns at once when it would repeat a quiet pass —
 //     the previous pass started, cancelled and held nothing, no job was
-//     submitted since, the cluster's mutation_serial() is unchanged, no
-//     release breakpoint has reached `now` and the priority does not move
-//     with time (not Multifactor). Such a pass would recompute the same
-//     estimates and reservations (docs/determinism.md "Quiet-pass skip
-//     safety"), as SLURM's backfill skips a cycle with no new work.
+//     submitted since, the cluster's mutation_serial() is unchanged and no
+//     release breakpoint has reached `now`. Such a pass would recompute
+//     the same estimates and reservations (docs/determinism.md "Quiet-pass
+//     skip safety"), as SLURM's backfill skips a cycle with no new work.
 //     passes_skipped() counts them; under the crosscheck switch every
 //     would-be-skipped pass runs and throws std::logic_error if it starts,
 //     cancels or holds anything. SD-Policy runs the unskipped body

@@ -13,7 +13,6 @@
 #include "cluster/machine.h"
 #include "drom/node_manager.h"
 #include "job/job_registry.h"
-#include "job/priority.h"
 #include "job/wait_queue.h"
 #include "model/runtime_predictor.h"
 #include "util/time_utils.h"
@@ -45,6 +44,15 @@ class StartExecutor {
   virtual void start_guest(JobId job, const MatePlan& plan) = 0;
 };
 
+/// Queue order. FIFO (SLURM's default, the paper's §3.1 setting) is the
+/// only one: the wait queue schedules in arrival order. The one-value type
+/// stays while bench/sdbench's traced kernel tests it.
+enum class PriorityKind { Fcfs };
+
+struct PriorityConfig {
+  PriorityKind kind = PriorityKind::Fcfs;
+};
+
 struct SchedConfig {
   /// Queued jobs that receive reservations per pass: 1 = EASY backfill,
   /// larger = conservative-ish (SLURM bf_max_job_test).
@@ -54,7 +62,7 @@ struct SchedConfig {
   /// Periodic pass cadence (SLURM bf_interval). 0 disables periodic passes
   /// (passes still run on every submit/finish).
   SimTime bf_interval = 30;
-  /// Queue ordering (FCFS = the paper's setting).
+  /// Queue ordering (always FIFO).
   PriorityConfig priority;
 };
 
@@ -62,9 +70,7 @@ class Scheduler {
  public:
   explicit Scheduler(Machine& machine, JobRegistry& jobs, StartExecutor& executor,
                      SchedConfig config) noexcept
-      : machine_(machine), jobs_(jobs), executor_(executor), config_(config) {
-    queue_.configure(config_.priority, &jobs_);
-  }
+      : machine_(machine), jobs_(jobs), executor_(executor), config_(config) {}
   virtual ~Scheduler() = default;
 
   Scheduler(const Scheduler&) = delete;
@@ -120,13 +126,12 @@ class Scheduler {
   /// schedule_pass calls it first; the pass then reads cluster_index_.
   void require_cluster_index() const;
 
-  /// Queue view in scheduling order under the configured priority. Cached
-  /// inside the WaitQueue: rebuilt only after a push/remove (or, for
-  /// time-dependent priorities, when `now` moves), so a pass over an
+  /// Queue view in scheduling (arrival) order. Cached inside the
+  /// WaitQueue: rebuilt only after a push/remove, so a pass over an
   /// unchanged queue costs nothing here. The view stays valid while the
   /// pass removes the jobs it starts.
-  [[nodiscard]] const std::vector<JobId>& scheduling_order(SimTime now) const {
-    return queue_.scheduling_order(now);
+  [[nodiscard]] const std::vector<JobId>& scheduling_order() const {
+    return queue_.scheduling_order();
   }
 
   const RuntimePredictor* predictor_ = nullptr;

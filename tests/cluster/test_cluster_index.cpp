@@ -307,57 +307,6 @@ TEST(ClusterStateIndex, LifecycleStepsAdvanceMutationSerial) {
   EXPECT_EQ(c.machine->occupied_nodes(), 0);
 }
 
-// The MateSelector's budget cache keys on occupancy_serial: every
-// occupancy notification stamps exactly the node's current occupants.
-TEST(ClusterStateIndex, OccupancySerialStampsEveryOccupant) {
-  Cluster c;
-  NodeManager mgr(*c.machine, c.jobs, c.drom);
-  std::map<JobId, std::uint64_t> expect;
-  const auto check = [&](const char* step) {
-    for (JobId id = 0; id < static_cast<JobId>(c.jobs.size()); ++id) {
-      EXPECT_EQ(c.index->occupancy_serial(id), expect[id]) << step << ": job " << id;
-    }
-  };
-
-  const JobId bystander = c.add_running(0, 1, 100);
-  mgr.start_static(0, bystander, {5});
-  expect[bystander] = c.index->mutation_serial();
-  check("bystander start_static");
-
-  const JobId mate = c.add_running(0, 2, 100);
-  mgr.start_static(0, mate, {0, 1});
-  expect[mate] = c.index->mutation_serial();
-  check("start_static");
-
-  const JobId guest = c.add_running(10, 1, 50);
-  mgr.start_guest(10, guest, {SharePlan{0, mate, 4, 4, 8}});
-  expect[mate] = expect[guest] = c.index->mutation_serial();
-  check("start_guest beside a mate");
-
-  // A predicted-end stretch moves the serial but stamps nobody.
-  const std::uint64_t before_stretch = c.index->mutation_serial();
-  c.jobs.at(mate).predicted_end += 25;
-  c.index->on_predicted_end_changed(mate);
-  EXPECT_GT(c.index->mutation_serial(), before_stretch);
-  check("predicted-end stretch");
-
-  // A mutation on another node stamps only its own occupant.
-  const JobId other = c.add_running(10, 1, 50);
-  mgr.start_static(10, other, {6});
-  expect[other] = c.index->mutation_serial();
-  check("start_static elsewhere");
-
-  // The guest leaves node 0 before it is notified: only the mate, which
-  // stays (and expands back), is stamped.
-  c.jobs.at(guest).state = JobState::Completed;
-  mgr.finish_job(20, guest);
-  expect[mate] = c.index->mutation_serial();
-  check("finish_job");
-
-  EXPECT_EQ(c.index->occupancy_serial(static_cast<JobId>(c.jobs.size()) + 7), 0u);
-  EXPECT_EQ(c.index->occupancy_serial(kInvalidJob), 0u);
-}
-
 TEST(ClusterStateIndex, BusyGroupsClampOverdueOccupants) {
   Cluster c;
   NodeManager mgr(*c.machine, c.jobs, c.drom);

@@ -18,7 +18,7 @@ inline std::optional<MatePlan> seeded_select(const Machine& machine, const JobRe
                                              const ClusterStateIndex& index,
                                              const SdConfig& sd, const Job& guest,
                                              SimTime now, double cutoff) {
-  MateRegistry seeded(sd.max_jobs_per_node);
+  MateRegistry seeded;
   seeded.seed(jobs);
   MateSelector selector(machine, jobs, sd, seeded);
   selector.set_cluster_index(&index);

@@ -21,8 +21,6 @@ namespace sdsched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// The default SdConfig's occupancy cap: one owner + one guest.
-const int kDefaultCap = SdConfig{}.max_jobs_per_node;
 
 JobSpec spec_of(SimTime submit, SimTime req_time, int req_nodes, int cores_per_node,
                 MalleabilityClass cls = MalleabilityClass::Malleable) {
@@ -38,7 +36,7 @@ JobSpec spec_of(SimTime submit, SimTime req_time, int req_nodes, int cores_per_n
 
 TEST(MateRegistry, TracksLifecycleTransitions) {
   JobRegistry jobs;
-  MateRegistry registry(kDefaultCap);
+  MateRegistry registry;
 
   const JobId malleable = jobs.add(spec_of(0, 100, 1, 48));
   const JobId rigid = jobs.add(spec_of(0, 100, 1, 48, MalleabilityClass::Rigid));
@@ -73,7 +71,7 @@ TEST(MateRegistry, SeedIndexesAPopulatedRegistry) {
   jobs.at(b).state = JobState::Running;
   jobs.at(b).started_as_guest = true;
 
-  MateRegistry registry(kDefaultCap);
+  MateRegistry registry;
   registry.seed(jobs);
   EXPECT_EQ(registry.running(), (std::vector<JobId>{a, b}));
   EXPECT_EQ(registry.mates(), (std::vector<JobId>{a}));
@@ -84,7 +82,7 @@ TEST(MateRegistry, CheckConsistentCatchesAMissedStart) {
   const JobId a = jobs.add(spec_of(0, 100, 1, 48));
   jobs.at(a).state = JobState::Running;
 
-  MateRegistry registry(kDefaultCap);  // never told about `a`
+  MateRegistry registry;  // never told about `a`
   std::string diag;
   EXPECT_FALSE(registry.check_consistent(jobs, &diag));
   EXPECT_FALSE(diag.empty());
@@ -103,7 +101,7 @@ JobId start_weighted(JobRegistry& jobs, MateRegistry& registry, int weight) {
 
 TEST(MateRegistry, CheckConsistentCatchesAStaleWeight) {
   JobRegistry jobs;
-  MateRegistry registry(kDefaultCap);
+  MateRegistry registry;
   const JobId a = start_weighted(jobs, registry, 2);
   start_weighted(jobs, registry, 3);
   std::string diag;
@@ -123,7 +121,7 @@ TEST(MateRegistry, WeightHistogramFollowsListingChanges) {
   // A finish clears the job's shares before the registry hears of it, so
   // unlisting must use the weight recorded at listing time.
   JobRegistry jobs;
-  MateRegistry registry(kDefaultCap);
+  MateRegistry registry;
   const JobId a = start_weighted(jobs, registry, 3);
   start_weighted(jobs, registry, 3);
   EXPECT_TRUE(registry.can_sum_to(6, 2));
@@ -135,7 +133,7 @@ TEST(MateRegistry, WeightHistogramFollowsListingChanges) {
   EXPECT_TRUE(registry.can_sum_to(3, 2));
   EXPECT_FALSE(registry.can_sum_to(6, 2));  // one 3-node mate is left
 
-  MateRegistry seeded(kDefaultCap);
+  MateRegistry seeded;
   seeded.seed(jobs);
   EXPECT_TRUE(seeded.check_consistent(jobs, &diag)) << diag;
   EXPECT_TRUE(seeded.can_sum_to(3, 1));
@@ -168,7 +166,7 @@ TEST(MateRegistry, CanSumToMatchesBruteForce) {
   int unreachable = 0;
   for (int round = 0; round < 200; ++round) {
     JobRegistry jobs;
-    MateRegistry registry(kDefaultCap);
+    MateRegistry registry;
     // A few distinct weights drawn up to 32, several mates each, so the
     // histogram has duplicates; then some mates finish again.
     std::vector<int> pool(1 + static_cast<std::size_t>(rnd(5)));
@@ -206,14 +204,13 @@ TEST(MateRegistry, CanSumToMatchesBruteForce) {
 }
 
 // ---------------------------------------------------------------------------
-// Full mates: the hosted-guest cap through real NodeManager starts/finishes.
+// Mates hosting a guest, through real NodeManager starts/finishes.
 // ---------------------------------------------------------------------------
 
 /// Four 48-core nodes; every lifecycle step goes through the NodeManager
 /// first and the registry second, as SdPolicyScheduler sees them.
 struct HostingWorld {
-  explicit HostingWorld(int cap)
-      : machine(make_machine()), mgr(machine, jobs, drom), registry(cap) {}
+  HostingWorld() : machine(make_machine()), mgr(machine, jobs, drom) {}
 
   static MachineConfig make_machine() {
     MachineConfig mc;
@@ -262,7 +259,7 @@ struct HostingWorld {
 };
 
 TEST(MateRegistry, FullMateLeavesAndReturnsInIdOrder) {
-  HostingWorld world(2);
+  HostingWorld world;
   const JobId a = world.start_mate(0);
   const JobId b = world.start_mate(1);
   const JobId c = world.start_mate(2);
@@ -277,24 +274,8 @@ TEST(MateRegistry, FullMateLeavesAndReturnsInIdOrder) {
   EXPECT_TRUE(world.consistent());
 }
 
-TEST(MateRegistry, CapThreeKeepsAMateWithOneGuest) {
-  HostingWorld world(3);
-  const JobId m = world.start_mate(0);
-  const JobId g1 = world.start_guest(m, 0, 16);
-  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{m}));
-  const JobId g2 = world.start_guest(m, 0, 16);
-  EXPECT_TRUE(world.registry.mates().empty());
-  EXPECT_TRUE(world.consistent());
-
-  world.finish(g1);
-  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{m}));
-  world.finish(g2);
-  EXPECT_EQ(world.registry.mates(), (std::vector<JobId>{m}));
-  EXPECT_TRUE(world.consistent());
-}
-
 TEST(MateRegistry, MateThatFinishedFirstIsNotRelisted) {
-  HostingWorld world(2);
+  HostingWorld world;
   const JobId m = world.start_mate(0);
   const JobId other = world.start_mate(1);
   const JobId g = world.start_guest(m, 0, 24);
@@ -305,17 +286,8 @@ TEST(MateRegistry, MateThatFinishedFirstIsNotRelisted) {
   EXPECT_TRUE(world.consistent());
 }
 
-TEST(MateRegistry, CapOneListsNoMates) {
-  HostingWorld world(1);  // owner only: no node can take a guest
-  world.start_mate(0);
-  world.start_mate(1);
-  EXPECT_TRUE(world.registry.mates().empty());
-  EXPECT_EQ(world.registry.running().size(), 2u);
-  EXPECT_TRUE(world.consistent());
-}
-
 TEST(MateRegistry, CheckConsistentCatchesAMissedGuestFinish) {
-  HostingWorld world(2);
+  HostingWorld world;
   const JobId m = world.start_mate(0);
   const JobId g = world.start_guest(m, 0, 24);
   world.jobs.at(g).state = JobState::Completed;
@@ -340,66 +312,7 @@ TEST(MateRegistry, CheckConsistentCatchesAMissedGuestFinish) {
 using testing_support::plans_equal;
 using testing_support::seeded_select;
 
-TEST(MateRegistry, BudgetCacheSeesOccupancyChangesBelowTheIndexVersion) {
-  // A guest finishing on a node whose mate's predicted end dominates
-  // changes the node's core split but NOT its free_at — the index version
-  // does not move (profile reuse depends on that), yet the selector's
-  // cached budgets must refresh or it diverges from the machine truth.
-  MachineConfig mc;
-  mc.nodes = 2;
-  mc.node = NodeConfig{2, 24};
-  Machine machine(mc);
-  JobRegistry jobs;
-  DromRegistry drom;
-  NodeManager mgr(machine, jobs, drom);
-  ClusterStateIndex index(machine, jobs);
-
-  SdConfig sd;
-  sd.max_jobs_per_node = 3;  // keep M mate-eligible while it hosts G
-  MateRegistry registry(sd.max_jobs_per_node);
-  MateSelector indexed(machine, jobs, sd, registry);
-  indexed.set_cluster_index(&index);
-
-  // Mate M on node 0, predicted end 10000.
-  const JobId m = jobs.add(spec_of(0, 10000, 1, 48));
-  jobs.at(m).state = JobState::Running;
-  jobs.at(m).predicted_end = 10000;
-  mgr.start_static(0, m, {0});
-  registry.on_start(jobs.at(m), jobs);
-
-  // Guest G takes 24 of M's cores; M's end still dominates the node.
-  const JobId g = jobs.add(spec_of(0, 100, 1, 48));
-  jobs.at(g).state = JobState::Running;
-  jobs.at(g).predicted_end = 200;
-  mgr.start_guest(0, g, {SharePlan{0, m, 24, 24, 48}});
-  registry.on_start(jobs.at(g), jobs);
-
-  // Populate the cache while M is shrunk: no plan fits (M cannot shed more).
-  const JobId probe1 = jobs.add(spec_of(10, 50, 1, 48));
-  const std::uint64_t version_before = index.version();
-  EXPECT_FALSE(indexed.select(jobs.at(probe1), 10, kInf).has_value());
-  EXPECT_FALSE(seeded_select(machine, jobs, index, sd, jobs.at(probe1), 10, kInf).has_value());
-
-  // G finishes: node 0's free_at stays at M's end (no version bump), but
-  // M expands back to its full static split. (Re-fetch G: the adds above
-  // may have reallocated the registry.)
-  jobs.at(g).state = JobState::Completed;
-  jobs.at(g).end_time = 200;
-  mgr.finish_job(200, g);
-  registry.on_finish(jobs.at(g), jobs);
-  EXPECT_EQ(index.version(), version_before);  // below the version's resolution
-
-  // The warm selector must now see the expanded mate and agree with a cold
-  // one on the plan.
-  const JobId probe2 = jobs.add(spec_of(200, 50, 1, 48));
-  const auto seeded_plan = seeded_select(machine, jobs, index, sd, jobs.at(probe2), 200, kInf);
-  const auto indexed_plan = indexed.select(jobs.at(probe2), 200, kInf);
-  ASSERT_TRUE(seeded_plan.has_value());
-  ASSERT_TRUE(plans_equal(seeded_plan, indexed_plan));
-}
-
-/// The parity walk at occupancy cap `cap` (registry and selector share it).
-void selection_parity_over_recorded_lifecycle(int cap) {
+TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
   MachineConfig mc;
   mc.nodes = 12;
   mc.node = NodeConfig{2, 4};
@@ -410,8 +323,7 @@ void selection_parity_over_recorded_lifecycle(int cap) {
   ClusterStateIndex index(machine, jobs);
 
   SdConfig sd;
-  sd.max_jobs_per_node = cap;
-  MateRegistry registry(sd.max_jobs_per_node);
+  MateRegistry registry;
   MateSelector indexed(machine, jobs, sd, registry);
   indexed.set_cluster_index(&index);
 
@@ -482,7 +394,7 @@ void selection_parity_over_recorded_lifecycle(int cap) {
     }
 
     ASSERT_TRUE(registry.check_consistent(jobs, &diag)) << "step " << step << ": " << diag;
-    MateRegistry seeded(sd.max_jobs_per_node);
+    MateRegistry seeded;
     seeded.seed(jobs);
     ASSERT_EQ(registry.running(), seeded.running()) << "step " << step;
     ASSERT_EQ(registry.mates(), seeded.mates()) << "step " << step;
@@ -501,14 +413,6 @@ void selection_parity_over_recorded_lifecycle(int cap) {
     }
   }
   EXPECT_GT(compared, 0);  // the walk actually produced plans to compare
-}
-
-TEST(MateRegistry, SelectionParityOverRecordedLifecycle) {
-  for (const int cap : {2, 3}) {
-    SCOPED_TRACE(cap);
-    selection_parity_over_recorded_lifecycle(cap);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
 }
 
 }  // namespace

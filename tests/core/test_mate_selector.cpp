@@ -24,7 +24,6 @@ class MateSelectorTest : public ::testing::Test {
       : machine_(make_config()),
         index_(machine_, jobs_),
         mgr_(machine_, jobs_, drom_),
-        registry_(sd_.max_jobs_per_node),
         selector_(selector_for(sd_)) {}
 
   /// A selector over the fixture's registry and index.
@@ -204,7 +203,7 @@ TEST_F(MateSelectorTest, RigidJobsAreNotMates) {
 
 TEST_F(MateSelectorTest, BusyMatesWithGuestsAreIneligible) {
   run_mate(2, 0, 10000);
-  // A real guest start fills the mate (default cap: one owner + one guest).
+  // A real guest start fills the mate (one owner + one guest per node).
   const JobId hosted = pending_guest(2, 100).spec.id;
   const auto first = selector_.select(jobs_.at(hosted), 0, kInf);
   ASSERT_TRUE(first.has_value());
@@ -307,8 +306,8 @@ TEST_F(MateSelectorTest, BudgetCacheSurvivesUnrelatedMutation) {
   const std::uint64_t refills = selector_.stats().budget_refills;
   EXPECT_EQ(refills, 1u);
 
-  // A start on nodes the mate does not hold moves the mutation serial but
-  // stamps only its own occupant: the mate's budgets stay cached.
+  // A start on nodes the mate does not hold moves the mutation serial; the
+  // mate's budgets stay cached.
   const JobId other = run_rigid(2, 5000);  // nodes 2-3
   const JobId probe1 = pending_guest(2, 100).spec.id;
   const auto warm1 = selector_.select(jobs_.at(probe1), 10, kInf);
@@ -338,11 +337,10 @@ TEST_F(MateSelectorTest, CrosscheckCatchesStaleBudgets) {
   const JobId first = pending_guest(1, 100).spec.id;
   ASSERT_TRUE(selector.select(jobs_.at(first), 0, kInf).has_value());  // fills
 
-  // A resize the index never hears of: the mate's node gains free cores
-  // without stamping the mate, so the next hit serves stale budgets.
-  machine_.set_observer(nullptr);
+  // A resize no run makes: a listed mate hosts no guest, so its share never
+  // moves while it is listed, and the cache keeps the slot. The mate's node
+  // gains free cores, so the next hit serves stale budgets.
   ASSERT_TRUE(machine_.resize_share(0, mate, 0, 40));
-  machine_.set_observer(&checked);
 
   const JobId second = pending_guest(1, 100).spec.id;
   try {
@@ -353,6 +351,52 @@ TEST_F(MateSelectorTest, CrosscheckCatchesStaleBudgets) {
     EXPECT_NE(what.find("job " + std::to_string(mate) + " node 0"), std::string::npos)
         << what;
   }
+}
+
+// A listed mate hosts no guest, so whenever it is examined it is alone on
+// its nodes at its static split. Hosting a guest takes it out of mates(),
+// and the guest's finish gives it its split back: the slot filled before
+// the guest is still exact when the mate is listed again.
+TEST_F(MateSelectorTest, ListedMateBudgetsOutliveItsGuest) {
+  const testing_support::ScopedEnv on("SDSCHED_CROSSCHECK", "1");
+  ClusterStateIndex checked(machine_, jobs_);
+  MateSelector selector(machine_, jobs_, sd_, registry_);
+  selector.set_cluster_index(&checked);
+
+  const JobId mate = run_mate(1, 0, 10000);  // node 0
+  const JobId guest = pending_guest(1, 100).spec.id;
+  const auto plan = selector.select(jobs_.at(guest), 0, kInf);  // fills
+  ASSERT_TRUE(plan.has_value());
+  const std::uint64_t refills = selector.stats().budget_refills;
+  EXPECT_EQ(refills, 1u);
+
+  // The guest starts on the mate, which leaves mates() while it hosts it.
+  Job& hosted = jobs_.at(guest);
+  hosted.start_time = 0;
+  hosted.predicted_end = hosted.spec.req_time + plan->guest_increase;
+  jobs_.at(mate).predicted_end += plan->mate_increases.front();
+  checked.on_predicted_end_changed(mate);
+  mgr_.start_guest(0, guest, plan->nodes);
+  mark_running(guest);
+  EXPECT_TRUE(registry_.mates().empty());
+
+  // The guest finishes: the mate expands back and is listed again.
+  hosted.state = JobState::Completed;
+  hosted.end_time = 50;
+  mgr_.finish_job(50, guest);
+  registry_.on_finish(hosted, jobs_);
+  ASSERT_EQ(registry_.mates(), (std::vector<JobId>{mate}));
+
+  // The next select reuses the slot, the crosscheck's refill agrees with
+  // it, and the plan is the one a cold selector finds.
+  const JobId probe = pending_guest(1, 100).spec.id;
+  std::optional<MatePlan> warm;
+  ASSERT_NO_THROW(warm = selector.select(jobs_.at(probe), 50, kInf));
+  EXPECT_EQ(selector.stats().budget_refills, refills);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_TRUE(testing_support::plans_equal(
+      warm, testing_support::seeded_select(machine_, jobs_, checked, sd_, jobs_.at(probe), 50,
+                                           kInf)));
 }
 
 TEST_F(MateSelectorTest, WeightRejectionHonoursFreeNodeTargets) {

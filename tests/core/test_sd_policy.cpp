@@ -159,7 +159,7 @@ TEST_F(SdPolicyTest, SecondGuestCannotStackOnSameMate) {
   ASSERT_EQ(executor_.guest_starts, (std::vector<JobId>{b}));
   EXPECT_EQ(jobs_.at(b).mates, (std::vector<JobId>{mate}));
   // A second short job: the only eligible mate already hosts a guest
-  // (default max_jobs_per_node = 2), and the guest itself is ineligible.
+  // (one owner + one guest per node), and the guest itself is ineligible.
   const JobId c = submit(96, 60, 60, 20);
   executor_.now = 20;
   sched_.schedule_pass(20);
@@ -228,8 +228,6 @@ TEST_F(SdPolicyTest, RejectsOutOfRangeConfigNamingFieldAndValue) {
             "SdConfig.sharing_factor must be a number in (0, 1], got 0");
   EXPECT_EQ(error_for([](SdConfig& c) { c.max_mates = 0; }),
             "SdConfig.max_mates must be >= 1, got 0");
-  EXPECT_EQ(error_for([](SdConfig& c) { c.max_jobs_per_node = 0; }),
-            "SdConfig.max_jobs_per_node must be >= 1, got 0");
   EXPECT_EQ(error_for([](SdConfig& c) { c.max_candidates = -1; }),
             "SdConfig.max_candidates must be >= 0, got -1");
   EXPECT_EQ(error_for([](SdConfig& c) { c.scan.guest_budget = -1; }),
@@ -240,7 +238,7 @@ TEST_F(SdPolicyTest, RejectsOutOfRangeConfigNamingFieldAndValue) {
             "SdConfig.cutoff.value must be a number > 0 for a Static cut-off, got nan");
 
   // Every in-tree configuration stays valid: the ablation's sf / m / nm
-  // variants, MAXSD 5/10/50, the unbounded cut-off and a one-owner node.
+  // variants, MAXSD 5/10/50 and the unbounded cut-off.
   for (const double sf : {0.25, 0.5, 0.75, 1.0}) {
     EXPECT_EQ(error_for([sf](SdConfig& c) { c.sharing_factor = sf; }), "accepted");
   }
@@ -255,7 +253,6 @@ TEST_F(SdPolicyTest, RejectsOutOfRangeConfigNamingFieldAndValue) {
               "accepted");
   }
   EXPECT_EQ(error_for([](SdConfig& c) { c.cutoff = CutoffConfig::infinite(); }), "accepted");
-  EXPECT_EQ(error_for([](SdConfig& c) { c.max_jobs_per_node = 1; }), "accepted");
 }
 
 TEST_F(SdPolicyTest, DynAvgSdIsConservativeOnLoneMate) {

@@ -130,7 +130,7 @@ struct SelectorWorld {
   ClusterStateIndex index{machine, jobs};
   DromRegistry drom;
   NodeManager mgr;
-  MateRegistry registry{SdConfig{}.max_jobs_per_node};  // every caller's SdConfig cap
+  MateRegistry registry;
 };
 
 /// Exhaustive minimum-PI search (m <= 2) with the same penalty math: mate

@@ -209,18 +209,16 @@ TEST(SdEndToEnd, AppModelRealRunImprovesEnergy) {
   EXPECT_LE(a.summary.avg_slowdown, b.summary.avg_slowdown * 1.05);
 }
 
-// A whole saturated SD run at max_jobs_per_node = 3, under the crosscheck
-// switch. The workload is sized for 8-core nodes but runs on 16-core ones,
-// so every job leaves idle cores beside it: a guest can take them without
-// filling its mate, which then stays listed in mates() and can be picked
-// again while it hosts that guest. Each such pick reads budgets cached
-// before the first guest arrived unless the mate's occupancy stamp moved,
-// and the crosscheck re-fills every budget-cache hit and throws on a stale
-// one. The run must show at least one such second pick: two guests that
-// overlap in time and share a mate. Mates of mixed widths leave some guest
-// widths out of Eq. 3's reach, so weight rejections fire as well, and the
-// crosscheck re-proves each with the full mate search.
-TEST(SdPolicyCapThree, ListedMatesHostingGuestsCrosscheckClean) {
+// A whole saturated SD run under the crosscheck switch. The workload is
+// sized for 8-core nodes but runs on 16-core ones, so every job leaves idle
+// cores beside it, and a guest could take them without shrinking its mate.
+// Still no mate takes a second guest while it hosts one: it leaves
+// mates() with its first. A mate's cached budgets stay from their fill
+// until it finishes, across every guest it hosts meanwhile; the crosscheck
+// re-fills every budget-cache hit and throws on a stale one. Mates of mixed
+// widths leave some guest widths out of Eq. 3's reach, so weight rejections
+// fire as well, and the crosscheck re-proves each with the full mate search.
+TEST(SdPolicyOneGuest, ListedMatesCrosscheckClean) {
   const testing_support::ScopedEnv crosscheck("SDSCHED_CROSSCHECK", "1");
   CirneConfig wl;
   wl.n_jobs = 300;
@@ -232,19 +230,19 @@ TEST(SdPolicyCapThree, ListedMatesHostingGuestsCrosscheckClean) {
   MachineConfig machine;
   machine.nodes = 32;
   machine.node = NodeConfig{2, 8};
-  SimulationConfig cfg = sd_config(machine, CutoffConfig::dynamic_avg());
-  cfg.sd.max_jobs_per_node = 3;
-  Simulation sim(cfg, generate_cirne(wl));
+  Simulation sim(sd_config(machine, CutoffConfig::dynamic_avg()), generate_cirne(wl));
   SimulationReport report;
   ASSERT_NO_THROW(report = sim.run());
   EXPECT_EQ(report.records.size(), 300u);
 
-  // A finishing guest keeps its own mates list, so each pair of overlapping
-  // guests that still names a common mate was stacked on it.
+  // A finishing guest keeps its own mates list, so two overlapping guests
+  // that still name a common mate were stacked on it.
+  int guests = 0;
   int stacked = 0;
   const JobRegistry& jobs = sim.jobs();
   for (const Job& later : jobs) {
     if (!later.started_as_guest) continue;
+    ++guests;
     for (const Job& earlier : jobs) {
       if (&earlier == &later || !earlier.started_as_guest) continue;
       if (earlier.start_time > later.start_time || later.start_time >= earlier.end_time) {
@@ -255,7 +253,8 @@ TEST(SdPolicyCapThree, ListedMatesHostingGuestsCrosscheckClean) {
       }
     }
   }
-  EXPECT_GT(stacked, 0) << "no mate took a second guest while hosting one";
+  EXPECT_GT(guests, 0);
+  EXPECT_EQ(stacked, 0) << "a mate took a second guest while hosting one";
 
   const auto& sd = dynamic_cast<const SdPolicyScheduler&>(sim.scheduler());
   EXPECT_GT(sd.selector_stats().weight_rejections, 0u) << "no weight rejection was re-proven";

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/mate_registry.h"
-#include "core/sd_config.h"
 #include "job/job_registry.h"
 #include "model/runtime_model.h"
 
@@ -107,7 +106,7 @@ TEST(JobRegistry, RunningIdsFiltersStates) {
   registry.add(spec);
   registry.add(spec);
   registry.at(1).state = JobState::Running;
-  MateRegistry running(SdConfig{}.max_jobs_per_node);
+  MateRegistry running;
   running.seed(registry);
   EXPECT_EQ(running.running(), (std::vector<JobId>{1}));
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "job/job_registry.h"
+#include "sched/scheduler.h"
+
 namespace sdsched {
 namespace {
 
@@ -10,7 +15,7 @@ TEST(WaitQueue, FcfsOrder) {
   queue.push(1, 100);
   queue.push(2, 200);
   queue.push(3, 150);
-  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{1, 3, 2}));
+  EXPECT_EQ(queue.scheduling_order(), (std::vector<JobId>{1, 3, 2}));
   EXPECT_EQ(queue.front(), 1u);
 }
 
@@ -19,7 +24,7 @@ TEST(WaitQueue, TiesBreakById) {
   queue.push(5, 100);
   queue.push(2, 100);
   queue.push(9, 100);
-  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{2, 5, 9}));
+  EXPECT_EQ(queue.scheduling_order(), (std::vector<JobId>{2, 5, 9}));
 }
 
 TEST(WaitQueue, RemoveMiddle) {
@@ -29,7 +34,7 @@ TEST(WaitQueue, RemoveMiddle) {
   queue.push(3, 3);
   EXPECT_TRUE(queue.remove(2));
   EXPECT_FALSE(queue.remove(2));
-  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{1, 3}));
+  EXPECT_EQ(queue.scheduling_order(), (std::vector<JobId>{1, 3}));
   EXPECT_EQ(queue.size(), 2u);
 }
 
@@ -44,40 +49,27 @@ TEST(WaitQueue, ContainsAndEmpty) {
   EXPECT_TRUE(queue.empty());
 }
 
+// FIFO is the only priority: the scheduling order is arrival order,
+// whatever the jobs' sizes.
+TEST(Priority, FcfsIsQueueOrder) {
+  JobRegistry jobs;
+  WaitQueue queue;
+  for (const auto& [submit, nodes] : {std::pair<SimTime, int>{100, 4}, {50, 1}, {75, 2}}) {
+    JobSpec spec;
+    spec.submit = submit;
+    spec.req_nodes = nodes;
+    queue.push(jobs.add(spec), submit);
+  }
+  EXPECT_EQ(SchedConfig{}.priority.kind, PriorityKind::Fcfs);
+  EXPECT_EQ(queue.scheduling_order(), (std::vector<JobId>{1, 2, 0}));
+}
+
 TEST(WaitQueue, SchedulingOrderFcfsNeedsNoRegistry) {
   WaitQueue queue;
   queue.push(3, 30);
   queue.push(1, 10);
   queue.push(2, 20);
-  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{1, 2, 3}));
-}
-
-TEST(WaitQueue, SchedulingOrderSmallestFirstReordersOnChange) {
-  JobRegistry jobs;
-  WaitQueue queue;
-  PriorityConfig config;
-  config.kind = PriorityKind::SmallestFirst;
-  queue.configure(config, &jobs);
-
-  const auto add = [&](SimTime submit, int nodes) {
-    JobSpec spec;
-    spec.submit = submit;
-    spec.req_nodes = nodes;
-    const JobId id = jobs.add(spec);
-    queue.push(id, submit);
-    return id;
-  };
-  const JobId big = add(0, 8);
-  const JobId small = add(1, 1);
-  const JobId mid = add(2, 4);
-  EXPECT_EQ(queue.scheduling_order(10), (std::vector<JobId>{small, mid, big}));
-
-  // Removing mid-queue keeps the remaining order; the cached view is only
-  // rebuilt on the next scheduling_order call.
-  queue.remove(small);
-  EXPECT_EQ(queue.scheduling_order(10), (std::vector<JobId>{mid, big}));
-  const JobId tiny = add(3, 2);
-  EXPECT_EQ(queue.scheduling_order(10), (std::vector<JobId>{tiny, mid, big}));
+  EXPECT_EQ(queue.scheduling_order(), (std::vector<JobId>{1, 2, 3}));
 }
 
 TEST(WaitQueue, SchedulingOrderViewSurvivesRemovalDuringIteration) {
@@ -85,41 +77,12 @@ TEST(WaitQueue, SchedulingOrderViewSurvivesRemovalDuringIteration) {
   // the returned vector must not change under them.
   WaitQueue queue;
   for (JobId id = 0; id < 6; ++id) queue.push(id, static_cast<SimTime>(id));
-  const std::vector<JobId>& view = queue.scheduling_order(0);
+  const std::vector<JobId>& view = queue.scheduling_order();
   const std::vector<JobId> snapshot = view;
   queue.remove(0);
   queue.remove(3);
   EXPECT_EQ(view, snapshot);  // same object, untouched by remove()
-  EXPECT_EQ(queue.scheduling_order(0), (std::vector<JobId>{1, 2, 4, 5}));
-}
-
-TEST(WaitQueue, SchedulingOrderMultifactorTracksNow) {
-  JobRegistry jobs;
-  WaitQueue queue;
-  PriorityConfig config;
-  config.kind = PriorityKind::Multifactor;
-  config.age_weight = 1000.0;
-  config.size_weight = 800.0;
-  config.age_saturation = 1000;
-  config.machine_nodes = 10;
-  queue.configure(config, &jobs);
-
-  JobSpec old_small;
-  old_small.submit = 0;
-  old_small.req_nodes = 1;
-  const JobId a = jobs.add(old_small);
-  JobSpec new_large;
-  new_large.submit = 900;
-  new_large.req_nodes = 10;
-  const JobId b = jobs.add(new_large);
-  queue.push(a, 0);
-  queue.push(b, 900);
-
-  // Same scenario as Priority.MultifactorAgeLeadWinsUntilSaturation: the
-  // cached order must follow `now`, not just queue membership.
-  EXPECT_EQ(queue.scheduling_order(1000), (std::vector<JobId>{a, b}));
-  EXPECT_EQ(queue.scheduling_order(2000), (std::vector<JobId>{b, a}));
-  EXPECT_EQ(queue.scheduling_order(2000), (std::vector<JobId>{b, a}));  // cached
+  EXPECT_EQ(queue.scheduling_order(), (std::vector<JobId>{1, 2, 4, 5}));
 }
 
 TEST(WaitQueue, InOrderPushIsCommonCase) {
@@ -127,7 +90,7 @@ TEST(WaitQueue, InOrderPushIsCommonCase) {
   for (JobId id = 0; id < 100; ++id) {
     queue.push(id, static_cast<SimTime>(id * 10));
   }
-  const auto ids = queue.scheduling_order(0);
+  const auto ids = queue.scheduling_order();
   for (JobId id = 0; id < 100; ++id) {
     EXPECT_EQ(ids[id], id);
   }

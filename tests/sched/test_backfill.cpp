@@ -321,13 +321,12 @@ TEST(BackfillCrosscheck, PassOverStaleIndexThrows) {
 // and held nothing returns at once. The rig pins SDSCHED_CROSSCHECK before
 // the index reads it, since the crosscheck runs every would-be-skipped pass.
 struct QuietPassRig {
-  explicit QuietPassRig(std::optional<std::string> crosscheck = std::nullopt,
-                        SchedConfig config = {})
+  explicit QuietPassRig(std::optional<std::string> crosscheck = std::nullopt)
       : env("SDSCHED_CROSSCHECK", std::move(crosscheck)),
         machine(four_nodes()),
         mgr(machine, jobs, drom),
         executor(machine, jobs, mgr),
-        sched(machine, jobs, executor, config) {
+        sched(machine, jobs, executor, SchedConfig{}) {
     sched.set_cluster_index(&executor.index);
   }
 
@@ -414,17 +413,6 @@ TEST(BackfillQuietPass, ReachingFirstReleaseDefeatsSkip) {
   rig.pass(100);
   EXPECT_EQ(rig.sched.passes_skipped(), 1u);
   EXPECT_EQ(rig.sched.profile_rebuilds(), rebuilds + 1);
-}
-
-TEST(BackfillQuietPass, MultifactorPriorityNeverSkips) {
-  SchedConfig config;
-  config.priority.kind = PriorityKind::Multifactor;
-  QuietPassRig rig(std::nullopt, config);
-  rig.run_quiet_pass();
-  const auto reuses = rig.sched.profile_reuses();
-  rig.pass(10);
-  EXPECT_EQ(rig.sched.passes_skipped(), 0u);
-  EXPECT_EQ(rig.sched.profile_reuses(), reuses + 1);
 }
 
 // Under the crosscheck every would-be-skipped pass runs in full and must
