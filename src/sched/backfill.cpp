@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
@@ -22,10 +23,13 @@ void BackfillScheduler::annotate(SimulationReport& report) const {
 }
 
 ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
-  // A new pass invalidates the per-class layers and the reservation log
-  // they replay; the shared base below survives when nothing changed.
+  // A new pass invalidates the per-class layers and starts a reservation
+  // log (the layers replay it; the estimate memo compares it with the
+  // previous pass's); the shared base below survives when nothing changed.
   class_layers_.clear();
-  pass_reserves_.clear();
+  std::swap(reserve_log_, prev_reserve_log_);
+  reserve_log_.clear();
+  ++pass_serial_;
 
   if (cluster_index_->crosscheck()) {
     std::string diagnosis;
@@ -39,8 +43,10 @@ ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
     // the base snapshot is still exact. Drop only the pass's reservations.
     profile_.clear_overlay();
     ++profile_reuses_;
+    in_step_ = true;
     return profile_;
   }
+  in_step_ = false;
   cluster_index_->busy_groups(now, scratch_groups_);
   profile_.set_base(machine_.node_count(), now, scratch_groups_);
   profile_version_ = cluster_index_->version();
@@ -71,8 +77,8 @@ ReservationProfile* BackfillScheduler::class_profile(SimTime now,
   // layer conservatively assumes they consume eligible nodes (estimates
   // may come out later than necessary, never too early — actual starts are
   // still gated by find_free_nodes).
-  for (const WindowReserve& r : pass_reserves_) {
-    layer.profile.reserve(r.start, r.end, r.nodes);
+  for (const WindowReserve& r : reserve_log_) {
+    if (!r.occupancy_backed) layer.profile.reserve(r.start, r.end, r.nodes);
   }
   class_layers_.push_back(std::move(layer));
   ++class_layer_builds_;
@@ -81,18 +87,50 @@ ReservationProfile* BackfillScheduler::class_profile(SimTime now,
 
 void BackfillScheduler::reserve_window(SimTime start, SimTime end, int nodes,
                                        bool occupancy_backed) {
+  const WindowReserve window{start, end, nodes, occupancy_backed};
+  const std::size_t at = reserve_log_.size();
+  in_step_ = in_step_ && at < prev_reserve_log_.size() && prev_reserve_log_[at] == window;
+  reserve_log_.push_back(window);
   profile_.reserve(start, end, nodes);
-  if (!occupancy_backed) pass_reserves_.push_back(WindowReserve{start, end, nodes});
   // Layers already built predate this step either way: mirror into them.
   for (ClassLayer& layer : class_layers_) {
     layer.profile.reserve(start, end, nodes);
   }
 }
 
+SimTime BackfillScheduler::memo_estimate(SimTime now, const JobSpec& spec, SimTime planned) {
+  if (spec.id >= estimate_memo_.size()) estimate_memo_.resize(std::size_t{spec.id} + 1);
+  EstimateMemo& memo = estimate_memo_[spec.id];
+  const auto position = static_cast<std::uint32_t>(reserve_log_.size());
+  if (in_step_ && memo.pass + 1 == pass_serial_ && memo.position == position &&
+      memo.req_nodes == spec.req_nodes && memo.planned == planned && memo.est >= now &&
+      memo.est != ReservationProfile::kNever) {
+    // The profile is the one the previous pass swept here, and that sweep
+    // found no feasible start in [its now, est): none in [now, est) either.
+    if (cluster_index_->crosscheck()) {
+      const SimTime fresh = profile_.earliest_start(spec.req_nodes, planned, now);
+      if (fresh != memo.est) {
+        throw std::logic_error("estimate memo diverged from a fresh sweep: job " +
+                               std::to_string(spec.id) + " at t=" + std::to_string(now) +
+                               " cached " + std::to_string(memo.est) + ", fresh " +
+                               std::to_string(fresh));
+      }
+    }
+    memo.pass = pass_serial_;
+    ++estimate_memo_hits_;
+    return memo.est;
+  }
+  memo = EstimateMemo{pass_serial_, planned,
+                      profile_.earliest_start(spec.req_nodes, planned, now), position,
+                      spec.req_nodes};
+  return memo.est;
+}
+
 SimTime BackfillScheduler::static_estimate(SimTime now, const JobSpec& spec,
                                            SimTime planned) {
+  if (spec.constraints.unconstrained()) return memo_estimate(now, spec, planned);
   const SimTime est = profile_.earliest_start(spec.req_nodes, planned, now);
-  if (est == ReservationProfile::kNever || spec.constraints.unconstrained()) return est;
+  if (est == ReservationProfile::kNever) return est;
   // The shared profile is class-blind; the class layer knows how many
   // *eligible* nodes are free over the window. Take the later of the two
   // answers — exact where the counts model applies.

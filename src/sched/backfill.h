@@ -37,6 +37,20 @@
 //     cancels or holds anything. SD-Policy runs the unskipped body
 //     (run_pass()): its Listing 1 estimate moves with `now`.
 //
+// A pass that repeats its predecessor's reservations also repeats its
+// estimates. Every reserve_window() call is logged in order, and the log
+// of the previous pass is kept. A pass that reused the base starts *in
+// step* with its predecessor and stays so while each reservation equals
+// the predecessor's at the same log position; in step, the profile at a
+// position is byte-equal to the predecessor's there. An unconstrained
+// job's static_estimate() then returns the estimate the predecessor swept
+// at the same position (same request and planned duration) when it is
+// still >= now: no start in [previous now, estimate) was feasible, so none
+// in [now, estimate) is (docs/determinism.md "Estimate-memo safety").
+// estimate_memo_hits() counts them; under the crosscheck switch every hit
+// is re-swept and a divergence throws std::logic_error. Constrained jobs
+// always sweep: their class layers are rebuilt every pass.
+//
 // Constrained jobs additionally read a per-attribute-class profile layer:
 // the shared profile is class-blind, so a job whose constraints exclude
 // part of the machine used to see over-optimistic earliest starts and fall
@@ -92,6 +106,12 @@ class BackfillScheduler : public Scheduler {
     return class_layer_builds_;
   }
 
+  /// Static estimates answered from the previous pass's sweep at the same
+  /// reservation-log position instead of a new sweep (header comment).
+  [[nodiscard]] std::uint64_t estimate_memo_hits() const noexcept {
+    return estimate_memo_hits_;
+  }
+
  protected:
   /// The pass body schedule_pass() runs unless it skips a quiet repeat.
   /// Requires an attached cluster index.
@@ -128,7 +148,8 @@ class BackfillScheduler : public Scheduler {
                                                   const JobConstraints& constraints);
 
   /// Reserve on the shared pass profile AND mirror into every class layer
-  /// already built this pass. All pass reservations must go through here.
+  /// already built this pass, logging the call (the estimate memo compares
+  /// logs). All pass reservations must go through here.
   ///
   /// `occupancy_backed` says the reserved window corresponds to a start the
   /// executor applies in this very step (static start, mate stretch, free
@@ -136,18 +157,23 @@ class BackfillScheduler : public Scheduler {
   /// the start lands, so a class layer built *later* in the pass already
   /// sees it in its base snapshot and must NOT replay it — only windows
   /// with no machine-state backing (reservations for future starts, the
-  /// contiguous hold-and-retry) go into the replay log.
+  /// contiguous hold-and-retry) are replayed into a new layer.
   void reserve_window(SimTime start, SimTime end, int nodes, bool occupancy_backed);
 
  private:
   /// static_estimate(...) == now, answered by ReservationProfile::fits().
   [[nodiscard]] bool fits_now(SimTime now, const JobSpec& spec, SimTime planned);
 
+  /// The shared-profile sweep for an unconstrained job, or the previous
+  /// pass's answer when the memo proves it unchanged (header comment).
+  [[nodiscard]] SimTime memo_estimate(SimTime now, const JobSpec& spec, SimTime planned);
+
   std::uint64_t cancelled_ = 0;
   std::uint64_t passes_skipped_ = 0;
   std::uint64_t profile_reuses_ = 0;
   std::uint64_t profile_rebuilds_ = 0;
   std::uint64_t class_layer_builds_ = 0;
+  std::uint64_t estimate_memo_hits_ = 0;
 
   ReservationProfile profile_;
   std::uint64_t profile_version_ = 0;  ///< index version the base reflects
@@ -165,9 +191,24 @@ class BackfillScheduler : public Scheduler {
     SimTime start;
     SimTime end;
     int nodes;
+    bool occupancy_backed;  ///< class layers skip these (reserve_window)
+    bool operator==(const WindowReserve&) const = default;
   };
-  std::vector<ClassLayer> class_layers_;     ///< this pass's layers (lazily built)
-  std::vector<WindowReserve> pass_reserves_; ///< this pass's reservations, in order
+  std::vector<ClassLayer> class_layers_;  ///< this pass's layers (lazily built)
+
+  /// One job's last unconstrained static estimate and where it was swept.
+  struct EstimateMemo {
+    std::uint64_t pass = 0;     ///< pass_serial_ of the pass that swept it (0: none)
+    SimTime planned = 0;
+    SimTime est = 0;
+    std::uint32_t position = 0; ///< reserve_window() calls before it in that pass
+    int req_nodes = 0;
+  };
+  std::uint64_t pass_serial_ = 0;          ///< run_pass() count
+  bool in_step_ = false;                   ///< profile still equals the predecessor's
+  std::vector<WindowReserve> reserve_log_; ///< this pass's reserve_window() calls, in order
+  std::vector<WindowReserve> prev_reserve_log_;  ///< the previous pass's log
+  std::vector<EstimateMemo> estimate_memo_;      ///< by JobId, grown as jobs arrive
 };
 
 }  // namespace sdsched

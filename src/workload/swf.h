@@ -28,6 +28,7 @@ struct SwfReadOptions {
 
 /// Largest |submit|, |run time| or |requested time| a reader accepts: 2^32 s
 /// (136 years) is beyond any archive, and sums of such times fit SimTime.
+/// Workload::prepare_for() holds jobs built through the API to it as well.
 inline constexpr long long kSwfMaxSeconds = 1LL << 32;
 
 /// Parse SWF text. Recognizes `; MaxNodes:` and `; MaxProcs:` headers.

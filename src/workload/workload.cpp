@@ -1,8 +1,25 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "workload/swf.h"
 
 namespace sdsched {
+
+namespace {
+
+/// The SWF readers' time bound, applied to API input too: a submit near
+/// INT64_MAX would otherwise overflow the event clock.
+void check_time_field(std::size_t index, const char* field, SimTime value) {
+  if (value >= -kSwfMaxSeconds && value <= kSwfMaxSeconds) return;
+  throw std::invalid_argument("Workload job " + std::to_string(index) + ": " + field + " " +
+                              std::to_string(value) + " is beyond +/-" +
+                              std::to_string(kSwfMaxSeconds));
+}
+
+}  // namespace
 
 const std::vector<JobSpec>& Workload::jobs() const noexcept {
   static const std::vector<JobSpec> kEmpty;
@@ -33,6 +50,12 @@ void Workload::normalize() {
 
 std::size_t Workload::prepare_for(int system_nodes, int cores_per_node) {
   if (prepared_for(system_nodes, cores_per_node)) return 0;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const JobSpec& spec = jobs()[i];
+    check_time_field(i, "submit", spec.submit);
+    check_time_field(i, "base_runtime", spec.base_runtime);
+    check_time_field(i, "req_time", spec.req_time);
+  }
   info_.system_nodes = system_nodes;
   info_.cores_per_node = cores_per_node;
   const int max_cpus = system_nodes * cores_per_node;

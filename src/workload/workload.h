@@ -56,7 +56,9 @@ class Workload {
   /// Clamp requests to the machine, derive req_nodes from req_cpus, drop
   /// unrunnable jobs (zero runtime/cpus). Returns dropped count. Idempotent:
   /// a workload already prepared for the same machine is left shared,
-  /// untouched.
+  /// untouched. Throws std::invalid_argument, naming the job's index in
+  /// jobs() and the field, when a submit, base_runtime or req_time lies
+  /// beyond the SWF readers' +/-kSwfMaxSeconds.
   std::size_t prepare_for(int system_nodes, int cores_per_node);
 
   /// True when prepare_for(system_nodes, cores_per_node) has run and no

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -55,6 +56,23 @@ TEST(Simulation, RejectsShardCountOtherThanOne) {
     SimulationConfig config = config_for(PolicyKind::SdPolicy);
     config.shards.count = count;
     EXPECT_THROW((void)Simulation(config, w), std::invalid_argument) << count << " shards";
+  }
+}
+
+// A submit near INT64_MAX is refused when the workload is prepared, with
+// an exception, instead of aborting in the event kernel.
+TEST(Simulation, RejectsOverflowingSubmit) {
+  Workload w;
+  w.add(job_of(0, 100, 100, 2));
+  w.add(job_of(INT64_MAX - 10, 100, 100, 2));
+  for (const PolicyKind policy : {PolicyKind::Backfill, PolicyKind::SdPolicy}) {
+    try {
+      const Simulation sim(config_for(policy), w);
+      ADD_FAILURE() << "overflowing submit accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Workload job 1: submit 9223372036854775797 is beyond +/-4294967296");
+    }
   }
 }
 

@@ -320,10 +320,13 @@ TEST(BackfillCrosscheck, PassOverStaleIndexThrows) {
 // Quiet-pass skip: a pass that would repeat a pass which started, cancelled
 // and held nothing returns at once. The rig pins SDSCHED_CROSSCHECK before
 // the index reads it, since the crosscheck runs every would-be-skipped pass.
+// `Sched` lets a test substitute a policy hook.
+template <class Sched = BackfillScheduler>
 struct QuietPassRig {
-  explicit QuietPassRig(std::optional<std::string> crosscheck = std::nullopt)
+  explicit QuietPassRig(std::optional<std::string> crosscheck = std::nullopt,
+                        const MachineConfig& config = four_nodes())
       : env("SDSCHED_CROSSCHECK", std::move(crosscheck)),
-        machine(four_nodes()),
+        machine(config),
         mgr(machine, jobs, drom),
         executor(machine, jobs, mgr),
         sched(machine, jobs, executor, SchedConfig{}) {
@@ -365,7 +368,7 @@ struct QuietPassRig {
   DromRegistry drom;
   NodeManager mgr;
   RecordingExecutor executor;
-  BackfillScheduler sched;
+  Sched sched;
   JobId a = kInvalidJob;
   JobId b = kInvalidJob;
 };
@@ -474,6 +477,239 @@ TEST(BackfillCrosscheck, ProfileMachineDivergenceThrowsNamingTheJob) {
           << e.what();
     }
   }
+}
+
+// Estimate memo: a pass that reuses the base and repeats the previous
+// pass's reservations answers an unconstrained job's static estimate from
+// the previous pass's sweep at the same reservation-log position. In the
+// quiet pass of run_quiet_pass() B's estimate (t=100) is swept at position
+// 0; a submit at the tail defeats the quiet-pass skip so the pass runs.
+TEST(BackfillEstimateMemo, RepeatPassOnReusedBaseHits) {
+  QuietPassRig rig;
+  rig.run_quiet_pass();
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 0u);
+  const auto reuses = rig.sched.profile_reuses();
+  rig.submit(192, 100, 100, 10);  // C: reserved behind B, at t=200
+  rig.pass(10);
+  EXPECT_EQ(rig.sched.profile_reuses(), reuses + 1);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 1u);  // B
+  rig.submit(192, 100, 100, 20);
+  rig.pass(20);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 3u);  // B and C
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{rig.a}));
+}
+
+// A rebuilt base starts a pass out of step, even where the cached
+// estimate would still be >= now.
+TEST(BackfillEstimateMemo, RebuiltBaseMisses) {
+  QuietPassRig rig;
+  rig.run_quiet_pass();
+  rig.submit(192, 100, 100, 10);
+  rig.pass(10);
+  ASSERT_EQ(rig.sched.estimate_memo_hits(), 1u);
+  const auto rebuilds = rig.sched.profile_rebuilds();
+  rig.pass(100);  // A's release reached: the base is re-clamped
+  EXPECT_EQ(rig.sched.profile_rebuilds(), rebuilds + 1);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 1u);
+}
+
+// B's longer request keeps its start (t=100) but changes its reservation,
+// so the pass leaves step there: C's entry matches in position, request
+// and duration, yet C must be swept again (its estimate moves from 200 to
+// 250). The crosscheck re-sweeps every hit, so a stale one would throw.
+TEST(BackfillEstimateMemo, DivergentReservationEndsReuseForLaterJobs) {
+  QuietPassRig rig("1");
+  rig.run_quiet_pass();
+  rig.submit(192, 100, 100, 10);  // C
+  rig.pass(10);
+  ASSERT_EQ(rig.sched.estimate_memo_hits(), 1u);
+  rig.jobs.at(rig.b).spec.req_time = 150;
+  rig.submit(192, 100, 100, 20);
+  EXPECT_NO_THROW(rig.pass(20));
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 1u);
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{rig.a}));
+}
+
+// X (submitted late, queued by its submit time between B and C) repeats
+// C's old reservation exactly, so the log stays in step, but C now sits
+// one position later and must be swept (its estimate moves from 200 to
+// 300).
+TEST(BackfillEstimateMemo, ShiftedLogPositionMisses) {
+  QuietPassRig rig("1");
+  rig.run_quiet_pass();
+  const JobId x = rig.jobs.add(spec_of(0, 100, 100, 192, 48));
+  rig.submit(192, 100, 100, 0);  // C: queued behind B, reserved at t=200
+  rig.pass(0);
+  ASSERT_EQ(rig.sched.estimate_memo_hits(), 1u);
+  rig.sched.on_submit(x);
+  EXPECT_NO_THROW(rig.pass(10));
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 2u);  // B only
+}
+
+// A changed planned duration misses; earlier jobs still hit.
+TEST(BackfillEstimateMemo, ChangedPlannedMisses) {
+  QuietPassRig rig;
+  rig.run_quiet_pass();
+  const JobId c = rig.submit(192, 100, 100, 10);
+  rig.pass(10);
+  ASSERT_EQ(rig.sched.estimate_memo_hits(), 1u);
+  rig.jobs.at(c).spec.req_time = 150;
+  rig.submit(192, 100, 100, 20);
+  rig.pass(20);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 2u);  // B, not C
+}
+
+/// A policy hook that holds two nodes over a fixed window [5, 20) while it
+/// examines `holder`: a reservation independent of `now`, so passes stay in
+/// step across it while estimates behind it fall below a later `now`.
+class FixedHoldScheduler final : public BackfillScheduler {
+ public:
+  using BackfillScheduler::BackfillScheduler;
+  JobId holder = kInvalidJob;
+
+ protected:
+  bool try_malleable(SimTime /*now*/, Job& job, std::optional<SimTime>& /*est_start*/,
+                     ReservationProfile& /*profile*/) override {
+    if (job.spec.id == holder) reserve_window(5, 20, 2, /*occupancy_backed=*/false);
+    return false;
+  }
+};
+
+// J's estimate (t=20, after the hold) is below the next pass's `now`: it
+// must be swept again, and then J starts at once.
+TEST(BackfillEstimateMemo, EstimateBelowNowMisses) {
+  QuietPassRig<FixedHoldScheduler> rig;
+  const JobId a = rig.submit(96, 1000, 1000);  // two nodes until t=1000
+  rig.pass(0);
+  rig.sched.holder = rig.submit(192, 100, 100);  // H: reserved at t=1000
+  const JobId j = rig.submit(96, 10, 10);        // J: two nodes, blocked by the hold
+  rig.pass(0);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 0u);
+  rig.submit(192, 100, 100, 10);
+  rig.pass(10);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 2u);  // H and J (t=20 >= 10)
+  rig.submit(192, 100, 100, 25);
+  rig.pass(25);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 3u);  // H only
+  EXPECT_EQ(rig.executor.static_starts, (std::vector<JobId>{a, j}));
+}
+
+// Constrained jobs always sweep: their class layers are rebuilt per pass.
+// On nodes 2-3 (highmem) A runs until t=100 and B waits for them; E and
+// F (unconstrained, four nodes) queue behind B's reservation.
+TEST(BackfillEstimateMemo, ConstrainedJobNeverHits) {
+  MachineConfig config = QuietPassRig<>::four_nodes();
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  config.attribute_overrides.emplace_back(2, highmem);
+  config.attribute_overrides.emplace_back(3, highmem);
+  QuietPassRig rig(std::nullopt, config);
+  const auto submit_highmem = [&](SimTime req_time, SimTime at) {
+    JobSpec spec = spec_of(at, req_time, req_time, 96, 48);
+    spec.constraints.min_memory_gb = 128;
+    const JobId id = rig.jobs.add(spec);
+    rig.sched.on_submit(id);
+    return id;
+  };
+  const JobId a = submit_highmem(100, 0);
+  rig.pass(0);
+  ASSERT_EQ(rig.executor.static_starts, (std::vector<JobId>{a}));
+  const JobId b = submit_highmem(500, 10);
+  rig.pass(10);
+  rig.submit(192, 100, 100, 20);  // E: reserved at t=600
+  rig.pass(20);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 0u);
+  const auto layers = rig.sched.class_layer_builds();
+  rig.submit(192, 100, 100, 30);
+  rig.pass(30);
+  EXPECT_EQ(rig.sched.class_layer_builds(), layers + 1);
+  EXPECT_EQ(rig.sched.estimate_memo_hits(), 1u);  // E, never B
+  EXPECT_TRUE(rig.sched.queue().contains(b));
+}
+
+/// A policy hook that edits the pass profile behind reserve_window()'s
+/// back while it examines `holder`: two nodes over [now, now + 50). The
+/// log cannot see it, so the memo hands a later job a stale estimate.
+class UnloggedHoldScheduler final : public BackfillScheduler {
+ public:
+  using BackfillScheduler::BackfillScheduler;
+  JobId holder = kInvalidJob;
+
+ protected:
+  bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& /*est_start*/,
+                     ReservationProfile& profile) override {
+    if (job.spec.id == holder) profile.reserve(now, now + 50, 2);
+    return false;
+  }
+};
+
+// The crosscheck re-sweeps every hit: J's cached t=50 is stale once the
+// unlogged hold moves to [10, 60), and the pass throws naming J.
+TEST(BackfillEstimateMemo, CrosscheckCatchesAStaleHit) {
+  QuietPassRig<UnloggedHoldScheduler> rig("1");
+  rig.submit(96, 1000, 1000);
+  rig.pass(0);
+  rig.sched.holder = rig.submit(192, 100, 100);
+  const JobId j = rig.submit(96, 10, 10);
+  rig.pass(0);
+  rig.submit(192, 100, 100, 10);
+  try {
+    rig.pass(10);
+    ADD_FAILURE() << "stale estimate memo hit did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("estimate memo diverged from a fresh sweep: job " +
+                                         std::to_string(j) + " at t=10 cached 50, fresh 60"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// A deterministic churn of submits, early finishes and passes; returns
+/// the static starts and the memo hits.
+std::pair<std::vector<JobId>, std::uint64_t> churn(QuietPassRig<>& rig) {
+  std::uint64_t lcg = 12345;
+  const auto next = [&](std::uint64_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return (lcg >> 33) % bound;
+  };
+  std::vector<JobId> running;
+  for (SimTime now = 0; now < 4000; now += 1 + static_cast<SimTime>(next(40))) {
+    for (std::size_t i = 0; i < running.size();) {
+      const Job& job = rig.jobs.at(running[i]);
+      if (job.start_time + job.spec.base_runtime <= now) {
+        finish(rig.jobs, rig.mgr, running[i], now);
+        rig.sched.on_finish(running[i]);
+        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    for (std::uint64_t n = next(3); n > 0; --n) {
+      const SimTime req = 20 + static_cast<SimTime>(next(300));
+      const SimTime runtime = 1 + static_cast<SimTime>(next(static_cast<std::uint64_t>(req)));
+      rig.submit(48 * (1 + static_cast<int>(next(4))), runtime, req, now);
+    }
+    const std::size_t before = rig.executor.static_starts.size();
+    rig.pass(now);
+    running.insert(running.end(), rig.executor.static_starts.begin() +
+                                      static_cast<std::ptrdiff_t>(before),
+                   rig.executor.static_starts.end());
+  }
+  return {rig.executor.static_starts, rig.sched.estimate_memo_hits()};
+}
+
+// Under the crosscheck every hit is re-swept; a churned run stays clean
+// and starts the same jobs at the same passes as the unchecked run.
+TEST(BackfillEstimateMemo, CrosscheckedRunStaysClean) {
+  QuietPassRig plain;
+  QuietPassRig checked("1");
+  ASSERT_TRUE(checked.executor.index.crosscheck());
+  const auto [plain_starts, plain_hits] = churn(plain);
+  std::pair<std::vector<JobId>, std::uint64_t> checked_run;
+  ASSERT_NO_THROW(checked_run = churn(checked));
+  EXPECT_EQ(checked_run.first, plain_starts);
+  EXPECT_GT(plain_hits, 0u);
+  EXPECT_GT(checked_run.second, 0u);
 }
 
 }  // namespace

@@ -130,6 +130,8 @@ TEST(Swf, HostileFieldsThrowInBothReaders) {
        "SWF line 2: allocated processors -9999999999 is beyond +/-2147483647"},
       {"overflow_requested_time.swf", "SWF line 2: expected >=11 fields, got 8"},
       {"underflow_requested_time.swf", "SWF line 2: expected >=11 fields, got 8"},
+      {"truncated_row.swf", "SWF line 2: expected >=11 fields, got 4"},
+      {"ends_mid_row.swf", "SWF line 2: expected >=11 fields, got 4"},
   };
   for (const auto& [file, message] : cases) {
     const auto message_of = [&](auto read) {

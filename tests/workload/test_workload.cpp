@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "workload/cirne.h"
+#include "workload/swf.h"
 
 namespace sdsched {
 namespace {
@@ -39,6 +44,38 @@ TEST(Workload, MutationDetachesFromSharingCopies) {
   c.mutable_jobs()[0].req_cpus = 99;
   EXPECT_EQ(a.jobs()[0].req_cpus, 4);
   EXPECT_EQ(c.jobs()[0].req_cpus, 99);
+}
+
+// API input obeys the SWF readers' time bound: a submit near INT64_MAX
+// used to reach the event kernel and abort on its "cannot schedule events
+// in the past" assert. The error names the job's index and the field.
+TEST(Workload, PrepareForRejectsTimesBeyondTheSwfBound) {
+  const auto error_for = [](JobSpec bad) -> std::string {
+    Workload w;
+    w.add(spec_of(0, 0, 100, 4));
+    w.add(bad);
+    try {
+      (void)w.prepare_for(4, 8);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  JobSpec spec = spec_of(1, INT64_MAX - 10, 100, 4);
+  EXPECT_EQ(error_for(spec),
+            "Workload job 1: submit 9223372036854775797 is beyond +/-4294967296");
+  spec.submit = -kSwfMaxSeconds - 1;
+  EXPECT_EQ(error_for(spec), "Workload job 1: submit -4294967297 is beyond +/-4294967296");
+  spec = spec_of(1, 0, kSwfMaxSeconds + 1, 4);
+  EXPECT_EQ(error_for(spec),
+            "Workload job 1: base_runtime 4294967297 is beyond +/-4294967296");
+  spec = spec_of(1, 0, 100, 4);
+  spec.req_time = INT64_MAX;
+  EXPECT_EQ(error_for(spec),
+            "Workload job 1: req_time 9223372036854775807 is beyond +/-4294967296");
+  // The bound itself is accepted, as the readers accept it.
+  spec = spec_of(1, kSwfMaxSeconds, kSwfMaxSeconds, 4);
+  EXPECT_EQ(error_for(spec), "accepted");
 }
 
 TEST(Workload, PrepareForIsIdempotentAndPreservesSharing) {
