@@ -9,6 +9,7 @@
 #include "sched/fcfs.h"
 #include "util/logging.h"
 #include "workload/app_profiles.h"
+#include "workload/swf.h"
 
 namespace sdsched {
 
@@ -40,6 +41,12 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
                                 std::to_string(config_.shards.count));
   }
   validate(config_.sched);
+  // The SWF readers' time bound: a negative overhead used to be ignored.
+  if (config_.reconfig_overhead < 0 || config_.reconfig_overhead > kSwfMaxSeconds) {
+    throw std::invalid_argument("SimulationConfig.reconfig_overhead must be in [0, " +
+                                std::to_string(kSwfMaxSeconds) + "] s, got " +
+                                std::to_string(config_.reconfig_overhead));
+  }
   // Already-prepared workloads (the generators and SweepRunner prepare once)
   // stay shared — no per-simulation deep copy; anything else gets a private
   // prepared copy, exactly as before.

@@ -33,7 +33,7 @@
 // (crosscheck()), turns on every brute-force re-derivation at runtime: each
 // backfill pass runs check_consistent(), find_free_nodes() compares every
 // pick against Machine::find_free_nodes, and SD-Policy re-proves its
-// MateRegistry, scan-ledger skips, cut-off cache and budget cache. Any
+// MateRegistry, scan-ledger skips, cut-off cache and listed-mate splits. Any
 // divergence throws std::logic_error with the diagnosis.
 #pragma once
 

@@ -40,7 +40,7 @@ struct GuestScanPolicy {
 };
 
 /// Per-guest record of the state in which the last mate search failed.
-/// Indexed by JobId (the budget-cache pattern). The key is
+/// Indexed by JobId, grown on demand. The key is
 /// (mutation_serial, planned, max_free) plus valid_until; an entry goes
 /// stale by itself when the serial moves on. Every start and finish writes
 /// a node, so an unchanged serial also means an unchanged running

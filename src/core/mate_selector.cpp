@@ -32,14 +32,6 @@ double penalty_for(const Job& mate, SimTime now, SimTime increase) noexcept {
 
 }  // namespace
 
-void MateSelector::release_budgets(JobId job) noexcept {
-  const auto idx = static_cast<std::size_t>(job);
-  if (idx >= budget_cache_.size()) return;
-  CachedBudgets& slot = budget_cache_[idx];
-  slot.valid = false;
-  slot.nodes = {};  // actually release the heap block, not just clear()
-}
-
 bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
                                  SimTime now) const noexcept {
   // Running, malleable, not a guest and hosting none are mates() invariants.
@@ -47,15 +39,45 @@ bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
   return candidate.predicted_end > now;  // remaining allocation
 }
 
-MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
-                                                       const Job& guest) const {
-  CachedBudgets& slot = budget_cache_[static_cast<std::size_t>(job.spec.id)];
-  // Valid until the mate finishes (docs/determinism.md "Budget-cache
-  // validity"). Adaptive sharing makes the SharingFactor a function of the
-  // (mate, guest) pairing, so it refills every time.
-  if (!config_.adaptive_sharing && slot.valid) {
-    if (index_->crosscheck()) verify_budgets(job, slot);
-    return slot;
+MateSelector::Budget MateSelector::budget(int static_cpus, int mate_min,
+                                          int take_cap) const noexcept {
+  Budget b;
+  b.mate_static = std::max(1, static_cpus);
+  b.idle = machine_.cores_per_node() - b.mate_static;
+  b.guest_max = b.idle + std::clamp(std::min(take_cap, b.mate_static - mate_min), 0,
+                                    b.mate_static);
+  return b;
+}
+
+void MateSelector::examine_candidate(const Job& job, const Job& guest, SimTime now,
+                                     double max_slowdown, SimTime quick_d0, int u_max,
+                                     std::vector<Candidate>& out) const {
+  // balanced_split gives every node req_cpus / n cpus, the first req_cpus % n
+  // one more. The budgets below read no node; the crosscheck proves what they
+  // rest on (docs/determinism.md "Listed-mate budgets") for every scanned mate.
+  const int n = static_cast<int>(job.shares.size());
+  const int base = job.spec.req_cpus / n;
+  if (index_->crosscheck()) {
+    for (const NodeShare& share : job.shares) {
+      const Node& node = machine_.node(share.node);
+      if (share.cpus != share.static_cpus ||
+          node.free_cores() != node.total_cores() - share.cpus ||
+          (share.static_cpus != std::max(1, base) && share.static_cpus != base + 1)) {
+        throw std::logic_error("MateSelector listed mate is off its static split: job " +
+                               std::to_string(job.spec.id) + " node " +
+                               std::to_string(share.node));
+      }
+    }
+  }
+  if (!eligible_mate(job, guest, now)) return;
+
+  // §3.2.4: the guest's constraints filter the mates' nodes too.
+  if (!guest.spec.constraints.unconstrained()) {
+    for (const NodeShare& share : job.shares) {
+      if (!node_satisfies(machine_.node(share.node).attributes(), guest.spec.constraints)) {
+        return;
+      }
+    }
   }
 
   // Future work #1: SharingFactor tuned per (mate, guest) pairing when
@@ -65,93 +87,26 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
           ? adaptive_sharing_factor(config_.sharing_factor, profile_of(job),
                                     profile_of(guest))
           : config_.sharing_factor;
-  ++stats_.budget_refills;
-  fill_budgets(job, sharing_factor, slot);
-  return slot;
-}
+  const int mate_min = std::max(1, job.spec.ranks_per_node);
+  const int take_cap =
+      static_cast<int>(std::floor(sharing_factor * machine_.cores_per_node()));
 
-void MateSelector::fill_budgets(const Job& job, double sharing_factor,
-                                CachedBudgets& slot) const {
-  slot.nodes.clear();
-  slot.feasible = true;
-  slot.memo_u_max = -1;
-  for (const auto& share : job.shares) {
-    const Node& node = machine_.node(share.node);
-    NodeBudget budget;
-    budget.node = share.node;
-    budget.mate_current = share.cpus;
-    budget.mate_static = std::max(1, share.static_cpus);
-    budget.mate_min = std::max(1, job.spec.ranks_per_node);
-    budget.idle = node.free_cores();
-    const int take_cap =
-        static_cast<int>(std::floor(sharing_factor * node.total_cores()));
-    const int already_taken = budget.mate_static - budget.mate_current;
-    const int max_take = std::clamp(
-        std::min(take_cap - already_taken, budget.mate_current - budget.mate_min), 0,
-        budget.mate_current);
-    budget.guest_max = budget.idle + max_take;
-    if (budget.guest_max < 1) {
-      slot.feasible = false;
-      break;
-    }
-    slot.nodes.push_back(budget);
+  // Every share must host a guest cpu, and the quick penalty takes the worst
+  // kept/static ratio at u_max guest cpus per node: one budget per split value.
+  double worst_kept_ratio = 1.0;
+  for (int split = base; split <= base + (job.spec.req_cpus % n != 0 ? 1 : 0); ++split) {
+    const Budget b = budget(split, mate_min, take_cap);
+    if (b.guest_max < 1) return;
+    const int g = std::min(u_max, b.guest_max);
+    const int kept = b.mate_static - std::max(0, g - b.idle);
+    worst_kept_ratio =
+        std::min(worst_kept_ratio, static_cast<double>(kept) / b.mate_static);
   }
-  slot.valid = true;
-}
-
-void MateSelector::verify_budgets(const Job& job, const CachedBudgets& cached) const {
-  CachedBudgets fresh;
-  fill_budgets(job, config_.sharing_factor, fresh);
-  if (fresh.feasible == cached.feasible && fresh.nodes == cached.nodes) return;
-  // A fill stops at an infeasible share, so the first share the two
-  // disagree on names the node.
-  const auto i = static_cast<std::size_t>(
-      std::mismatch(fresh.nodes.begin(), fresh.nodes.end(), cached.nodes.begin(),
-                    cached.nodes.end()).first - fresh.nodes.begin());
-  throw std::logic_error("MateSelector budget cache diverged from a fresh fill: job " +
-                         std::to_string(job.spec.id) + " node " +
-                         std::to_string(i < job.shares.size() ? job.shares[i].node : -1));
-}
-
-void MateSelector::examine_candidate(const Job& job, const Job& guest, SimTime now,
-                                     double max_slowdown, SimTime quick_d0, int u_max,
-                                     std::vector<Candidate>& out) const {
-  if (!eligible_mate(job, guest, now)) return;
-
-  CachedBudgets& budgets = budgets_for(job, guest);
-  if (!budgets.feasible) return;
-  // §3.2.4: the guest's constraints filter the mates' nodes too. (The
-  // budgets themselves are guest-independent; this filter is not.)
-  if (!guest.spec.constraints.unconstrained()) {
-    for (const NodeBudget& budget : budgets.nodes) {
-      if (!node_satisfies(machine_.node(budget.node).attributes(),
-                          guest.spec.constraints)) {
-        return;
-      }
-    }
-  }
-
-  // Quick penalty ingredient: what the mate would keep if the guest needed
-  // u_max cpus on each of its nodes. Memoized per (budgets, u_max) — a pure
-  // function of both.
-  if (budgets.memo_u_max != u_max) {
-    double worst_kept_ratio = 1.0;
-    for (const NodeBudget& budget : budgets.nodes) {
-      const int g = std::min(u_max, budget.guest_max);
-      const int kept = budget.mate_current - std::max(0, g - budget.idle);
-      worst_kept_ratio = std::min(
-          worst_kept_ratio, static_cast<double>(kept) / budget.mate_static);
-    }
-    budgets.memo_u_max = u_max;
-    budgets.memo_ratio = worst_kept_ratio;
-  }
-  const double worst_kept_ratio = budgets.memo_ratio;
 
   const SimTime quick_increase = lost_progress_increase(quick_d0, worst_kept_ratio);
   const double sort_penalty = penalty_for(job, now, quick_increase);
   if (sort_penalty >= max_slowdown) return;  // Eq. 2 filter
-  out.push_back(Candidate{job.spec.id, static_cast<int>(job.shares.size()), sort_penalty,
-                          &budgets.nodes});
+  out.push_back(Candidate{job.spec.id, n, sort_penalty, mate_min, take_cap});
 }
 
 std::vector<MateSelector::Candidate> MateSelector::collect_candidates(
@@ -159,10 +114,6 @@ std::vector<MateSelector::Candidate> MateSelector::collect_candidates(
   const SimTime d0 = quick_duration(guest_runtime, config_.sharing_factor);
   const auto u_max = static_cast<int>(
       (guest.spec.req_cpus + guest.spec.req_nodes - 1) / guest.spec.req_nodes);
-
-  // Candidates point into budget_cache_; size it up-front so slots never
-  // move during the select (the registry does not grow mid-select).
-  if (budget_cache_.size() < jobs_.size()) budget_cache_.resize(jobs_.size());
 
   // Only the mates that can still take a guest, in ascending id order.
   std::vector<Candidate> candidates;
@@ -231,16 +182,16 @@ std::optional<MatePlan> MateSelector::evaluate_combination(
   kept_rates.reserve(combo.size());
   for (const Candidate* cand : combo) {
     double mate_rate = 1.0;
-    for (const auto& budget : *cand->nodes) {
+    for (const NodeShare& share : jobs_.at(cand->id).shares) {
+      const Budget b = budget(share.static_cpus, cand->mate_min, cand->take_cap);
       const int u = needs[need_idx++];
-      const int g = std::min(u, budget.guest_max);
+      const int g = std::min(u, b.guest_max);
       if (g < 1) return std::nullopt;
-      const int taken = std::max(0, g - budget.idle);
-      const int kept = budget.mate_current - taken;
-      assert(kept >= budget.mate_min);
-      plan.nodes.push_back(SharePlan{budget.node, cand->id, g, kept, u});
+      const int kept = b.mate_static - std::max(0, g - b.idle);
+      assert(kept >= cand->mate_min);
+      plan.nodes.push_back(SharePlan{share.node, cand->id, g, kept, u});
       guest_rate = std::min(guest_rate, static_cast<double>(g) / u);
-      mate_rate = std::min(mate_rate, static_cast<double>(kept) / budget.mate_static);
+      mate_rate = std::min(mate_rate, static_cast<double>(kept) / b.mate_static);
     }
     kept_rates.push_back(MateKept{cand, mate_rate});
   }

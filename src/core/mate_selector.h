@@ -24,11 +24,12 @@
 // scanning a candidate (SelectStats::weight_rejections), which is most
 // selects on a machine of uniform-width mates. Otherwise candidate
 // collection walks only the registry's mates(), which leaves out mates
-// hosting a guest (the SdPolicyScheduler owns the registry), and free-node
-// picks go through the ClusterStateIndex's class-partitioned bitmap. Loop
-// invariants of the DFS (the guest's balanced split and the free-node
-// prefix of a plan) are resolved once per select() / per free_used value,
-// never per evaluated combination.
+// hosting a guest, so a listed mate's budgets are a closed form of its
+// static split and examining it reads no node. Free-node picks go through
+// the ClusterStateIndex's class-partitioned bitmap. Loop invariants of the
+// DFS (the guest's balanced split and the free-node prefix of a plan) are
+// resolved once per select() / per free_used value, never per evaluated
+// combination.
 #pragma once
 
 #include <cstdint>
@@ -53,14 +54,9 @@ class MateSelector {
                const MateRegistry& registry) noexcept
       : machine_(machine), jobs_(jobs), config_(config), registry_(registry) {}
 
-  /// The cluster view free-node picks and the budget cache read. select()
-  /// throws std::logic_error until one is attached.
+  /// The cluster view free-node picks read. select() throws
+  /// std::logic_error until one is attached.
   void set_cluster_index(const ClusterStateIndex* index) noexcept { index_ = index; }
-
-  /// `job` finished: free its cached budget storage. Keeps the cache's heap
-  /// footprint proportional to the *running* population instead of every
-  /// job ever examined (archive-scale traces submit hundreds of thousands).
-  void release_budgets(JobId job) noexcept;
 
   /// Best mate plan for `guest` at `now` under cut-off `max_slowdown`
   /// (Eq. 2's P), or nullopt when no feasible combination exists.
@@ -81,7 +77,6 @@ class MateSelector {
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
     std::uint64_t weight_rejections = 0;       ///< selects no listed weights could satisfy
-    std::uint64_t budget_refills = 0;          ///< node-budget fills (cache misses)
   };
   [[nodiscard]] const SelectStats& stats() const noexcept { return stats_; }
 
@@ -102,37 +97,22 @@ class MateSelector {
   [[nodiscard]] bool eligible_mate(const Job& candidate, const Job& guest,
                                    SimTime now) const noexcept;
 
-  struct NodeBudget {
-    int node = -1;
-    int mate_current = 0;    ///< mate's current cpus there
-    int mate_static = 0;     ///< mate's static split there
-    int mate_min = 1;        ///< rank floor
-    int idle = 0;            ///< free cores on the node
-    int guest_max = 0;       ///< most the guest could get on this node
-    bool operator==(const NodeBudget&) const = default;
+  /// A listed mate's budget on a node where it holds `static_cpus`, keeps
+  /// at least `mate_min` and gives up at most `take_cap` cpus. A listed mate
+  /// is alone on its nodes at its static split (docs/determinism.md
+  /// "Listed-mate budgets"), so the split alone determines the budget.
+  struct Budget {
+    int mate_static = 0;  ///< mate's static split there (and its current cpus)
+    int idle = 0;         ///< free cores on the node
+    int guest_max = 0;    ///< most the guest could get on this node
   };
-  /// A candidate's per-share budgets are guest-independent (unless
-  /// adaptive sharing ties the SharingFactor to the pairing), so they are
-  /// cached per job. They read only the mate's own shares and the free
-  /// cores of the nodes it holds, and a listed mate hosts no guest, so it is
-  /// alone on its nodes at its static split whenever it is examined: a slot
-  /// stays valid from its fill until release_budgets().
-  struct CachedBudgets {
-    bool valid = false;         ///< contents are meaningful
-    bool feasible = false;      ///< every share can host >= 1 guest cpu
-    std::vector<NodeBudget> nodes;
-    /// Quick-penalty memo: worst kept/static ratio for the last per-node
-    /// guest need (u_max) asked about — guests overwhelmingly share one
-    /// u_max (whole nodes), so the per-share minimum collapses to a hit.
-    int memo_u_max = -1;
-    double memo_ratio = 1.0;
-  };
+  [[nodiscard]] Budget budget(int static_cpus, int mate_min, int take_cap) const noexcept;
   struct Candidate {
     JobId id = kInvalidJob;
     int weight = 0;            ///< node count (Eq. 3's w_i)
     double sort_penalty = 0.0; ///< Eq. 4 with the quick duration estimate
-    /// Budgets live in budget_cache_ (stable for the duration of a select).
-    const std::vector<NodeBudget>* nodes = nullptr;
+    int mate_min = 1;          ///< rank floor
+    int take_cap = 0;          ///< floor(SharingFactor x cores per node)
   };
   /// The free-node part of a plan — constant for a given free_used value,
   /// resolved once before the DFS instead of once per combination.
@@ -155,14 +135,11 @@ class MateSelector {
                                                           SimTime guest_runtime) const;
   /// Examine one candidate: append it to `out` when it passes eligibility,
   /// budget feasibility, the guest's constraints and the Eq. 2 cut-off.
+  /// Under crosscheck() throws std::logic_error naming the job and the
+  /// first node where the listed mate is off its static split.
   void examine_candidate(const Job& job, const Job& guest, SimTime now,
                          double max_slowdown, SimTime quick_d0, int u_max,
                          std::vector<Candidate>& out) const;
-  [[nodiscard]] CachedBudgets& budgets_for(const Job& job, const Job& guest) const;
-  void fill_budgets(const Job& job, double sharing_factor, CachedBudgets& slot) const;
-  /// Crosscheck of a cache hit: throws std::logic_error naming the job and
-  /// the first node whose fresh budget differs.
-  void verify_budgets(const Job& job, const CachedBudgets& cached) const;
   [[nodiscard]] bool resolve_free_prefix(const Job& guest, int free_used,
                                          const std::vector<int>& needs,
                                          FreePrefix& out) const;
@@ -178,13 +155,6 @@ class MateSelector {
   const ClusterStateIndex* index_ = nullptr;
   mutable SelectStats stats_;
   mutable ScanSummary last_scan_;
-  /// Indexed by JobId; sized to the job registry at the start of a collect,
-  /// so entries (and the pointers Candidates take into them) stay put for
-  /// the whole select. Budgets are reused across selects and passes until
-  /// the mate finishes; with adaptive sharing, whose SharingFactor depends
-  /// on the guest, every examine refills its slot. Under crosscheck() every
-  /// hit is re-derived.
-  mutable std::vector<CachedBudgets> budget_cache_;
 };
 
 }  // namespace sdsched

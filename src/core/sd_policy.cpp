@@ -17,7 +17,7 @@ namespace sdsched {
 namespace {
 
 /// `sd`, or std::invalid_argument naming the first out-of-range field (a NaN
-/// sharing_factor would reach budgets_for's int cast; a NaN MAXSD never cuts).
+/// sharing_factor would reach the mate budgets' int cast; a NaN MAXSD never cuts).
 const SdConfig& validated(const SdConfig& sd) {
   const auto reject = [](const char* field, const char* rule, double value) {
     std::ostringstream oss;
@@ -96,7 +96,7 @@ double SdPolicyScheduler::pass_cutoff(SimTime now) {
 
 bool SdPolicyScheduler::try_malleable(SimTime now, Job& job,
                                       std::optional<SimTime>& est_start,
-                                      ReservationProfile& profile) {
+                                      const ReservationProfile& profile) {
   if (!job.can_start_shrunk()) return false;
 
   // Top-K slice: the budget counts guests *considered* — estimate
@@ -140,7 +140,7 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job,
         // The shared profile counts ineligible nodes as available; the
         // class layer keeps a constrained guest from over-capping its
         // free-node budget with nodes its plan could never take.
-        if (ReservationProfile* layer = class_profile(now, job.spec.constraints)) {
+        if (const ReservationProfile* layer = class_profile(now, job.spec.constraints)) {
           max_free_nodes = std::clamp(layer->min_available(now, d0), 0, max_free_nodes);
         }
       }

@@ -66,7 +66,6 @@ class SdPolicyScheduler final : public BackfillScheduler {
 
   void on_finish(JobId job) override {
     mate_registry_.on_finish(jobs_.at(job), jobs_);
-    selector_.release_budgets(job);
     BackfillScheduler::on_finish(job);
   }
 
@@ -91,7 +90,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
 
  protected:
   bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& est_start,
-                     ReservationProfile& profile) override;
+                     const ReservationProfile& profile) override;
 
   void on_job_started(JobId job) override { mate_registry_.on_start(jobs_.at(job), jobs_); }
 

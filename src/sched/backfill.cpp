@@ -14,7 +14,7 @@ namespace sdsched {
 
 bool BackfillScheduler::try_malleable(SimTime /*now*/, Job& /*job*/,
                                       std::optional<SimTime>& /*est_start*/,
-                                      ReservationProfile& /*profile*/) {
+                                      const ReservationProfile& /*profile*/) {
   return false;  // static baseline: no malleability
 }
 

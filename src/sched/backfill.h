@@ -120,13 +120,14 @@ class BackfillScheduler : public Scheduler {
   /// Policy hook: attempt a malleable start for `job`, which cannot start
   /// now. `est_start` is its static earliest start (> now) when the pass
   /// already swept it, else empty; a hook that needs it fills it with
-  /// static_estimate() before editing the profile, and the pass reuses it.
-  /// Implementations must apply the start through the executor, keep
-  /// `profile` consistent (extend mates' occupancy, reserve free nodes they
-  /// consume — via reserve_window so the class layers stay in sync) and
-  /// return true.
+  /// static_estimate() before reserving anything, and the pass reuses it.
+  /// `profile` is the pass profile, read-only here: implementations must
+  /// apply the start through the executor, keep the profile truthful
+  /// (extend mates' occupancy, reserve free nodes they consume) through
+  /// reserve_window, which also keeps the class layers and the estimate
+  /// memo's log in step, and return true.
   virtual bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& est_start,
-                             ReservationProfile& profile);
+                             const ReservationProfile& profile);
 
   /// Shared-profile earliest start maxed with the class layer's; kNever
   /// when the request exceeds the machine.

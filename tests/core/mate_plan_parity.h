@@ -1,6 +1,6 @@
 // Reference answers for mate-selection parity tests: what a fresh
-// selector (cold budget cache) over a freshly seed()ed registry finds, and
-// an exact comparison of two plans.
+// selector over a freshly seed()ed registry finds, and an exact comparison
+// of two plans.
 #pragma once
 
 #include <optional>
@@ -12,8 +12,8 @@
 
 namespace sdsched::testing_support {
 
-/// The reference answer: a fresh selector (cold budget cache) over a
-/// registry seed()ed from the job table at query time.
+/// The reference answer: a fresh selector over a registry seed()ed from
+/// the job table at query time.
 inline std::optional<MatePlan> seeded_select(const Machine& machine, const JobRegistry& jobs,
                                              const ClusterStateIndex& index,
                                              const SdConfig& sd, const Job& guest,

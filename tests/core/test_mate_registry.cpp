@@ -1,8 +1,8 @@
 // The MateRegistry must mirror a brute-force job-table scan through the
 // whole lifecycle (starts, guest starts, finishes), and a selector over the
-// incrementally maintained registry (with its budget cache warm across
-// mutations) must make the *identical* decisions a fresh selector over a
-// freshly seed()ed registry makes.
+// incrementally maintained registry, kept across mutations, must make the
+// *identical* decisions a fresh selector over a freshly seed()ed registry
+// makes.
 #include "core/mate_registry.h"
 
 #include <gtest/gtest.h>

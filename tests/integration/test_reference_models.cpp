@@ -2,19 +2,23 @@
 // against brute-force oracles under randomized inputs.
 //
 //  * ReservationProfile vs a naive per-second availability array;
-//  * MateSelector's branch-and-bound vs exhaustive combination search.
+//  * MateSelector's branch-and-bound vs exhaustive combination search;
+//  * MateSelector's closed-form mate budgets vs budgets read off the nodes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <map>
+#include <tuple>
 
 #include "cluster/cluster_state_index.h"
+#include "core/adaptive_sharing.h"
 #include "core/mate_registry.h"
 #include "core/mate_selector.h"
 #include "drom/node_manager.h"
 #include "sched/reservation.h"
 #include "util/rng.h"
+#include "workload/app_profiles.h"
 
 namespace sdsched {
 namespace {
@@ -108,12 +112,17 @@ struct SelectorWorld {
     spec.base_runtime = req;
     spec.req_cpus = node_count * 48;
     spec.req_nodes = node_count;
+    return run_spec(spec, start);
+  }
+
+  /// Start `spec` statically at `start` on the lowest free nodes.
+  JobId run_spec(const JobSpec& spec, SimTime start) {
     const JobId id = jobs.add(spec);
     Job& job = jobs.at(id);
     job.state = JobState::Running;
     job.start_time = start;
-    job.predicted_end = start + req;
-    mgr.start_static(start, id, *machine.find_free_nodes(node_count));
+    job.predicted_end = start + spec.req_time;
+    mgr.start_static(start, id, *machine.find_free_nodes(spec.req_nodes));
     registry.on_start(jobs.at(id), jobs);
     return id;
   }
@@ -211,6 +220,109 @@ TEST_P(SelectorOracle, BranchAndBoundMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectorOracle,
                          ::testing::Values(3, 7, 11, 19, 23, 31, 43, 59, 71, 97));
+
+/// (ranks_per_node, SharingFactor, adaptive sharing).
+using BudgetCase = std::tuple<int, double, bool>;
+
+class BudgetSelectorOracle : public ::testing::TestWithParam<BudgetCase> {};
+
+/// Table-2 profile `index`, or null for none (adaptive sharing's pairing).
+const ApplicationProfile* profile_at(int index) {
+  const auto& profiles = table2_profiles();
+  if (index < 0 || index >= static_cast<int>(profiles.size())) return nullptr;
+  return &profiles[static_cast<std::size_t>(index)];
+}
+
+// The selector computes a listed mate's per-node budget from its static
+// split alone. This oracle reads the same budget off the machine instead
+// (the node's free cores and the mate's current cpus) and checks every
+// node of every plan against it, on states SelectorOracle never builds:
+// mates narrower than their nodes (idle cores), uneven splits
+// (req_cpus % nodes != 0), several rank floors and SharingFactors, and
+// SharingFactors paired per (mate, guest) by adaptive sharing.
+TEST_P(BudgetSelectorOracle, PlansMatchNodeReadBudgets) {
+  const auto [ranks_per_node, sharing_factor, adaptive] = GetParam();
+  const int profiles = static_cast<int>(table2_profiles().size());
+  int plans = 0;
+  int uneven_mates = 0;  ///< plan nodes of a mate with req_cpus % nodes != 0
+  int shrunk_mates = 0;  ///< plan nodes where the guest takes mate cpus
+  for (const std::uint64_t seed : {5, 17, 29, 41, 53, 67}) {
+    Rng rng(seed);
+    SelectorWorld world(24);
+    while (world.machine.free_node_count() >= 3) {
+      JobSpec spec;
+      spec.req_nodes = static_cast<int>(rng.uniform_int(1, 3));
+      // 12-47 cpus per node, plus a remainder the split spreads unevenly.
+      spec.req_cpus = spec.req_nodes * static_cast<int>(rng.uniform_int(12, 47)) +
+                      static_cast<int>(rng.uniform_int(0, spec.req_nodes - 1));
+      spec.ranks_per_node = ranks_per_node;
+      spec.app_profile = static_cast<int>(rng.uniform_int(-1, profiles - 1));
+      spec.submit = static_cast<SimTime>(rng.uniform_int(0, 500));
+      spec.req_time = static_cast<SimTime>(rng.uniform_int(50000, 200000));
+      spec.base_runtime = spec.req_time;
+      world.run_spec(spec, spec.submit + static_cast<SimTime>(rng.uniform_int(0, 2000)));
+    }
+
+    SdConfig sd;
+    sd.cutoff = CutoffConfig::infinite();
+    sd.sharing_factor = sharing_factor;
+    sd.adaptive_sharing = adaptive;
+    const MateSelector selector = world.make_selector(sd);
+    for (int g = 0; g < 8; ++g) {
+      JobSpec guest_spec;
+      guest_spec.req_nodes = static_cast<int>(rng.uniform_int(1, 4));
+      guest_spec.req_cpus = guest_spec.req_nodes * static_cast<int>(rng.uniform_int(8, 47)) +
+                            static_cast<int>(rng.uniform_int(0, guest_spec.req_nodes - 1));
+      guest_spec.app_profile = static_cast<int>(rng.uniform_int(-1, profiles - 1));
+      guest_spec.req_time = static_cast<SimTime>(rng.uniform_int(100, 2000));
+      guest_spec.base_runtime = guest_spec.req_time;
+      guest_spec.submit = 2600;
+      const Job& guest = world.jobs.at(world.jobs.add(guest_spec));
+      const auto plan =
+          selector.select(guest, 2600, std::numeric_limits<double>::infinity());
+      if (!plan) continue;
+      ++plans;
+      for (const SharePlan& entry : plan->nodes) {
+        ASSERT_NE(entry.mate, kInvalidJob);  // no free nodes without include_free_nodes
+        const Job& mate = world.jobs.at(entry.mate);
+        const NodeShare* share = nullptr;
+        for (const NodeShare& s : mate.shares) {
+          if (s.node == entry.node) share = &s;
+        }
+        ASSERT_NE(share, nullptr);
+        // The node-read fill: free cores, current cpus and what the mate
+        // already gave up, all from the machine and the mate's share.
+        const Node& node = world.machine.node(entry.node);
+        const double sf = adaptive ? adaptive_sharing_factor(sharing_factor,
+                                                             profile_at(mate.spec.app_profile),
+                                                             profile_at(guest.spec.app_profile))
+                                   : sharing_factor;
+        const int mate_static = std::max(1, share->static_cpus);
+        const int mate_min = std::max(1, mate.spec.ranks_per_node);
+        const int idle = node.free_cores();
+        const int take_cap = static_cast<int>(std::floor(sf * node.total_cores()));
+        const int max_take = std::clamp(
+            std::min(take_cap - (mate_static - share->cpus), share->cpus - mate_min), 0,
+            share->cpus);
+        const int guest_cpus = std::min(entry.guest_static_cpus, idle + max_take);
+        EXPECT_EQ(entry.guest_cpus, guest_cpus) << "job " << entry.mate << " node " << entry.node;
+        EXPECT_EQ(entry.mate_kept_cpus, share->cpus - std::max(0, guest_cpus - idle))
+            << "job " << entry.mate << " node " << entry.node;
+        if (mate.spec.req_cpus % mate.spec.req_nodes != 0) ++uneven_mates;
+        if (guest_cpus > idle) ++shrunk_mates;
+      }
+    }
+  }
+  // Neither half of the comparison may be vacuous.
+  EXPECT_GT(plans, 0);
+  EXPECT_GT(uneven_mates, 0);
+  EXPECT_GT(shrunk_mates, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, BudgetSelectorOracle,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(0.25, 0.5, 0.75, 1.0),
+                       ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // NodeManager conservation under random churn

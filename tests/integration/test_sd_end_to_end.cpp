@@ -213,9 +213,10 @@ TEST(SdEndToEnd, AppModelRealRunImprovesEnergy) {
 // sized for 8-core nodes but runs on 16-core ones, so every job leaves idle
 // cores beside it, and a guest could take them without shrinking its mate.
 // Still no mate takes a second guest while it hosts one: it leaves
-// mates() with its first. A mate's cached budgets stay from their fill
-// until it finishes, across every guest it hosts meanwhile; the crosscheck
-// re-fills every budget-cache hit and throws on a stale one. Mates of mixed
+// mates() with its first, and its guest's finish expands it back to its
+// static split before it is listed again. The crosscheck checks every
+// scanned mate against that split, which its closed-form budgets read
+// instead of the nodes, and throws on a mate off it. Mates of mixed
 // widths leave some guest widths out of Eq. 3's reach, so weight rejections
 // fire as well, and the crosscheck re-proves each with the full mate search.
 TEST(SdPolicyOneGuest, ListedMatesCrosscheckClean) {

@@ -117,6 +117,29 @@ TEST(Simulation, RejectsOutOfRangeSchedConfig) {
             "accepted");
 }
 
+TEST(Simulation, RejectsOutOfRangeReconfigOverhead) {
+  Workload w;
+  w.add(job_of(0, 100, 100, 2));
+  const auto error_for = [&w](SimTime overhead) -> std::string {
+    SimulationConfig config = config_for(PolicyKind::SdPolicy);
+    config.reconfig_overhead = overhead;
+    try {
+      const Simulation sim(config, w);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(error_for(-1),
+            "SimulationConfig.reconfig_overhead must be in [0, 4294967296] s, got -1");
+  EXPECT_EQ(error_for((SimTime{1} << 32) + 1),
+            "SimulationConfig.reconfig_overhead must be in [0, 4294967296] s, got 4294967297");
+  // The bounds themselves, and the ablation's checkpoint/restart scale.
+  EXPECT_EQ(error_for(0), "accepted");
+  EXPECT_EQ(error_for(300), "accepted");
+  EXPECT_EQ(error_for(SimTime{1} << 32), "accepted");
+}
+
 TEST(Simulation, EveryJobCompletesExactlyOnce) {
   Workload w;
   for (int i = 0; i < 50; ++i) {

@@ -439,8 +439,10 @@ class ProfileCorruptingScheduler final : public BackfillScheduler {
 
  protected:
   bool try_malleable(SimTime now, Job& /*job*/, std::optional<SimTime>& /*est_start*/,
-                     ReservationProfile& profile) override {
-    profile.set_base(profile.capacity(), now, {});
+                     const ReservationProfile& profile) override {
+    // Breaks the read-only contract on purpose: no real hook can do this.
+    auto& writable = const_cast<ReservationProfile&>(profile);
+    writable.set_base(writable.capacity(), now, {});
     return false;
   }
 };
@@ -569,7 +571,7 @@ class FixedHoldScheduler final : public BackfillScheduler {
 
  protected:
   bool try_malleable(SimTime /*now*/, Job& job, std::optional<SimTime>& /*est_start*/,
-                     ReservationProfile& /*profile*/) override {
+                     const ReservationProfile& /*profile*/) override {
     if (job.spec.id == holder) reserve_window(5, 20, 2, /*occupancy_backed=*/false);
     return false;
   }
@@ -637,8 +639,11 @@ class UnloggedHoldScheduler final : public BackfillScheduler {
 
  protected:
   bool try_malleable(SimTime now, Job& job, std::optional<SimTime>& /*est_start*/,
-                     ReservationProfile& profile) override {
-    if (job.spec.id == holder) profile.reserve(now, now + 50, 2);
+                     const ReservationProfile& profile) override {
+    // Breaks the read-only contract on purpose, past reserve_window's log.
+    if (job.spec.id == holder) {
+      const_cast<ReservationProfile&>(profile).reserve(now, now + 50, 2);
+    }
     return false;
   }
 };
